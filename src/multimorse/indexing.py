@@ -5,16 +5,18 @@ the strict-but-unequal comparisons of the measuring function: whenever
 f(u) <= f(w) componentwise with f(u) != f(w), vertex u gets the smaller
 index. Two constructions are provided: a lexicographic sort (the default,
 n log n) and Kahn's algorithm on the comparability digraph (linear in
-vertices plus comparable pairs, and reusable for any DAG).
+vertices plus comparable pairs, and reusable for any DAG). The digraph
+and the validity check compare the d distinct grades pairwise rather than
+the n vertices, so they cost O(d^2 + edges) and O(d^2 + n log n).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
-from .filtration import MeasuringFunction, le_neq
+from .filtration import Grade, MeasuringFunction, le_neq
 
 
 class CycleError(ValueError):
@@ -36,16 +38,33 @@ class ComparabilityDag:
         return sum(len(s) for s in self.succ)
 
 
+def _grade_classes(f: MeasuringFunction
+                   ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Vertices grouped by grade, and for each class the classes whose
+    grade is strictly greater. Classes are in lexicographic grade order
+    and members ascend; since le_neq implies lexicographically smaller,
+    only later classes need comparing."""
+    by_grade: Dict[Grade, List[int]] = {}
+    for v in range(len(f)):
+        by_grade.setdefault(f[v], []).append(v)
+    grades = sorted(by_grade)
+    members = [by_grade[g] for g in grades]
+    above = [[j for j in range(i + 1, len(grades)) if le_neq(g, grades[j])]
+             for i, g in enumerate(grades)]
+    return members, above
+
+
 def build_dag(f: MeasuringFunction) -> ComparabilityDag:
     """Comparability digraph of f: an edge u -> w whenever f(u) <= f(w)
-    componentwise and f(u) != f(w). Quadratic in the vertex count."""
-    n = len(f)
-    succ: List[List[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        gu = f[u]
-        for w in range(n):
-            if u != w and le_neq(gu, f[w]):
-                succ[u].append(w)
+    componentwise and f(u) != f(w), successors in ascending order. All
+    vertices of one grade share their successors, so the cost is
+    O(d^2 + edges) for d distinct grades; quadratic when all differ."""
+    succ: List[List[int]] = [[] for _ in range(len(f))]
+    members, above = _grade_classes(f)
+    for cls, greater in zip(members, above):
+        targets = sorted(w for j in greater for w in members[j])
+        for u in cls:
+            succ[u] = list(targets)
     return ComparabilityDag(succ)
 
 
@@ -87,13 +106,16 @@ def lex_indexing(f: MeasuringFunction) -> List[int]:
 
 def validate_indexing(f: MeasuringFunction, index: List[int]) -> bool:
     """Check bijectivity onto 0..n-1 and compatibility with the order:
-    f(u) <= f(w), f(u) != f(w) forces index[u] < index[w]. Quadratic."""
+    f(u) <= f(w), f(u) != f(w) forces index[u] < index[w]. Compares the
+    largest index of each grade class with the smallest of every strictly
+    greater class: O(d^2 + n log n) for d distinct grades."""
     n = len(f)
     if len(index) != n or sorted(index) != list(range(n)):
         return False
-    for u in range(n):
-        gu = f[u]
-        for w in range(n):
-            if u != w and le_neq(gu, f[w]) and index[u] >= index[w]:
-                return False
+    members, above = _grade_classes(f)
+    low = [min(index[v] for v in cls) for cls in members]
+    for cls, greater in zip(members, above):
+        high = max(index[v] for v in cls)
+        if any(high >= low[j] for j in greater):
+            return False
     return True

@@ -11,10 +11,12 @@ bit-exactly because floats are printed in shortest-repr form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .complexes import SComplex, SimplicialComplex, build_simplicial
+from .complexes import (ComplexError, SComplex, SimplicialComplex,
+                        build_simplicial)
 from .filtration import Grade, MeasuringFunction
 from .rings import GF2, CoefficientRing
 
@@ -31,13 +33,19 @@ class Mesh:
     faces: List[Tuple[int, int, int]]
 
 
-def _content_lines(text: str) -> List[str]:
+def _numbered_lines(text: str) -> List[Tuple[int, str]]:
+    """Non-blank lines with comments stripped, with their 1-based line
+    numbers in the file."""
     out = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(line)
+            out.append((number, line))
     return out
+
+
+def _content_lines(text: str) -> List[str]:
+    return [line for _, line in _numbered_lines(text)]
 
 
 def _parse_off(lines: List[str], name: str) -> Mesh:
@@ -195,46 +203,74 @@ def write_reduced(path: str, S: SComplex, grades: Dict[int, Grade],
 
 def read_reduced(path: str, ring: CoefficientRing = GF2
                  ) -> Tuple[SComplex, Dict[int, Grade]]:
-    """Read a reduced-complex file back into a complex and its grades."""
+    """Read a reduced-complex file back into a complex and its grades.
+    Every malformed line raises MeshFormatError naming the file and the
+    line number."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = _content_lines(fh.read())
+            lines = _numbered_lines(fh.read())
     except OSError as e:
         raise MeshFormatError(f"mesh: cannot read {path}: {e}") from None
+    rest = iter(lines)
 
-    def expect(i: int, tag: str) -> List[str]:
-        if i >= len(lines) or not lines[i].startswith(tag + " "):
-            raise MeshFormatError(f"mesh: {path}: expected '{tag}' line")
-        return lines[i].split()
+    def fail(number: int, message: str) -> MeshFormatError:
+        return MeshFormatError(f"mesh: {path}: line {number}: {message}")
 
-    k = int(expect(0, "k")[1])
-    n_cells = int(expect(1, "cells")[1])
+    def take(what: str) -> Tuple[int, List[str]]:
+        item = next(rest, None)
+        if item is None:
+            end = lines[-1][0] + 1 if lines else 1
+            raise fail(end, f"file ends before the {what}")
+        number, line = item
+        return number, line.split()
+
+    def count(tag: str) -> int:
+        number, parts = take(f"'{tag}' line")
+        if parts[0] != tag:
+            raise fail(number, f"expected '{tag}' line")
+        try:
+            n = int(parts[1]) if len(parts) == 2 else -1
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise fail(number, f"bad '{tag}' line {' '.join(parts)!r}")
+        return n
+
+    k = count("k")
+    n_cells = count("cells")
     S = SComplex(ring)
     grades: Dict[int, Grade] = {}
     for i in range(n_cells):
-        parts = lines[2 + i].split()
+        number, parts = take(f"cell line {i + 1} of {n_cells}")
         try:
             cid, dim = int(parts[0]), int(parts[1])
             grade = tuple(float(x) for x in parts[2:])
         except (IndexError, ValueError):
-            raise MeshFormatError(
-                f"mesh: {path}: bad cell line {lines[2 + i]!r}") from None
+            raise fail(number, f"bad cell line {' '.join(parts)!r}") from None
         if len(grade) != k:
-            raise MeshFormatError(
-                f"mesh: {path}: cell {cid} has {len(grade)} grade components")
-        S.add_cell(dim, cid)
+            raise fail(number, f"cell {cid} has {len(grade)} grade components")
+        if not all(math.isfinite(x) for x in grade):
+            raise fail(number, f"cell {cid} has a non-finite grade")
+        try:
+            S.add_cell(dim, cid)
+        except ComplexError as e:
+            raise fail(number, str(e)) from None
         grades[cid] = grade
-    pos = 2 + n_cells
-    n_entries = int(expect(pos, "boundary")[1])
+    n_entries = count("boundary")
     for i in range(n_entries):
-        parts = lines[pos + 1 + i].split()
+        number, parts = take(f"boundary line {i + 1} of {n_entries}")
         try:
             s, t = int(parts[0]), int(parts[1])
             v = ring.parse(parts[2])
-        except (IndexError, ValueError):
-            raise MeshFormatError(
-                f"mesh: {path}: bad boundary line {lines[pos + 1 + i]!r}"
-            ) from None
-        S.set_incidence(s, t, v)
-    S.validate()
+        except (IndexError, ValueError, ZeroDivisionError):
+            raise fail(number,
+                       f"bad boundary line {' '.join(parts)!r}") from None
+        try:
+            S.set_incidence(s, t, v)
+        except ComplexError as e:
+            raise fail(number, str(e)) from None
+    try:
+        S.validate()
+    except ComplexError as e:
+        raise MeshFormatError(f"mesh: {path}: {e}") from None
     return S, grades

@@ -16,7 +16,7 @@ matching and can accumulate the composed maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .complexes import SComplex, SimplicialComplex
 from .filtration import Grade
@@ -151,32 +151,44 @@ class ComposedMaps:
     homotopy: Dict[int, Dict[int, object]]
 
 
-def _compose_step(maps: ComposedMaps, step: ReductionStep) -> None:
+def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
+                  step: ReductionStep) -> None:
+    """Fold one elementary reduction into the composed maps. rows[x] is
+    the set of projection columns whose support contains x, kept for the
+    cells still to be removed; only the columns in rows[sigma] and
+    rows[tau] change, so the step costs what it writes."""
     ring = maps.ring
     proj, incl, homo = maps.projection, maps.inclusion, maps.homotopy
-    i_tau = incl.pop(step.tau)
+    sigma, tau, pivot = step.sigma, step.tau, step.pivot
+    i_tau = incl.pop(tau)
+    # ascending column ids keep the homotopy dict in cell order
+    hit = sorted(rows.pop(sigma))
     # homotopy first: it needs the projection columns before this step
-    for g, col in proj.items():
-        c = col.get(step.sigma)
-        if c is not None:
-            target = homo.setdefault(g, {})
-            _axpy(target, ring.div(c, step.pivot), i_tau, ring)
-            if not target:
-                del homo[g]
-    for col in proj.values():
-        col.pop(step.tau, None)
-        c = col.pop(step.sigma, None)
-        if c is not None:
-            for xi, b in step.tau_faces.items():
-                value = ring.sub(col.get(xi, ring.zero),
-                                 ring.div(ring.mul(c, b), step.pivot))
-                if value == ring.zero:
-                    col.pop(xi, None)
-                else:
-                    col[xi] = value
+    for g in hit:
+        target = homo.setdefault(g, {})
+        _axpy(target, ring.div(proj[g][sigma], pivot), i_tau, ring)
+        if not target:
+            del homo[g]
+    for g in rows.pop(tau):
+        proj[g].pop(tau)
+    for g in hit:
+        col = proj[g]
+        c = col.pop(sigma)
+        for xi, b in step.tau_faces.items():
+            value = ring.sub(col.get(xi, ring.zero),
+                             ring.div(ring.mul(c, b), pivot))
+            row = rows.get(xi)
+            if value == ring.zero:
+                col.pop(xi, None)
+                if row is not None:
+                    row.discard(g)
+            else:
+                col[xi] = value
+                if row is not None:
+                    row.add(g)
     for eta, a in step.sigma_cofaces.items():
-        _axpy(incl[eta], ring.neg(ring.div(a, step.pivot)), i_tau, ring)
-    del incl[step.sigma]
+        _axpy(incl[eta], ring.neg(ring.div(a, pivot)), i_tau, ring)
+    del incl[sigma]
 
 
 @dataclass
@@ -215,10 +227,13 @@ def reduce_all(S: SComplex, matching: MatchPartition,
             inclusion={c: {c: S.ring.one} for c in S.cells()},
             homotopy={},
         )
+        # reverse index of the projection, cell -> columns containing
+        # it, for the matched cells: no step reads a critical cell's row
+        rows: Dict[int, Set[int]] = {c: {c} for pair in pairs for c in pair}
     steps: List[ReductionStep] = []
     for sigma, tau in pairs:
         step = reduce_pair(S, sigma, tau, grades)
         if maps is not None:
-            _compose_step(maps, step)
+            _compose_step(maps, rows, step)
         steps.append(step)
     return ReductionResult(S, grades, steps, maps)

@@ -51,16 +51,60 @@ def test_validate_indexing():
     assert mm.validate_indexing(anti, [2, 0, 1])
 
 
+def _pairwise_succ(f):
+    """Reference digraph: every ordered vertex pair tested directly."""
+    n = len(f)
+    return [[w for w in range(n) if u != w and mm.le_neq(f[u], f[w])]
+            for u in range(n)]
+
+
+def _pairwise_valid(f, index):
+    n = len(f)
+    if sorted(index) != list(range(n)):
+        return False
+    return all(index[u] < index[w]
+               for u, ws in enumerate(_pairwise_succ(f)) for w in ws)
+
+
+def _random_tied_grades(rng, n, k, levels):
+    return mm.MeasuringFunction(
+        [tuple(float(rng.randint(0, levels)) for _ in range(k))
+         for _ in range(n)])
+
+
 def test_both_constructions_validate_on_random_grades():
     rng = random.Random(20250823)
     for _ in range(200):
-        n = rng.randint(1, 40)
-        k = rng.randint(1, 3)
-        f = mm.MeasuringFunction(
-            [tuple(float(rng.randint(0, 4)) for _ in range(k))
-             for _ in range(n)])
+        f = _random_tied_grades(rng, rng.randint(1, 40), rng.randint(1, 3), 4)
+        dag = mm.build_dag(f)
+        assert dag.succ == _pairwise_succ(f)
         assert mm.validate_indexing(f, mm.lex_indexing(f))
-        assert mm.validate_indexing(f, mm.topo_sort_kahn(mm.build_dag(f)))
+        assert mm.validate_indexing(f, mm.topo_sort_kahn(dag))
+
+
+def test_validate_indexing_matches_pairwise_reference():
+    rng = random.Random(4141)
+    swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        f = _random_tied_grades(rng, n, rng.randint(1, 4), rng.randint(1, 3))
+        lex = mm.lex_indexing(f)
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        candidates = [lex, mm.topo_sort_kahn(mm.build_dag(f)), shuffled,
+                      lex[:-1], [0] * n]
+        comparable = [(u, w) for u, ws in enumerate(_pairwise_succ(f))
+                      for w in ws]
+        if comparable:
+            u, w = rng.choice(comparable)
+            bad = list(lex)
+            bad[u], bad[w] = bad[w], bad[u]
+            assert not _pairwise_valid(f, bad)
+            candidates.append(bad)
+            swapped += 1
+        for index in candidates:
+            assert mm.validate_indexing(f, index) == _pairwise_valid(f, index)
+    assert swapped > 200
 
 
 def _chain_dag(n):

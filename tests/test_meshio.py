@@ -189,6 +189,70 @@ def test_reduced_bad_files(tmp_path):
         mm.read_reduced(str(path), mm.INTEGERS)
 
 
+def _reduced_text(tmp_path):
+    """A valid reduced file over Z: the full triangle, not reduced."""
+    S = helpers.full_triangle(mm.INTEGERS)
+    grades = mm.entry_grades(S, helpers.grades_of(helpers.FULL_TRIANGLE_GRADES))
+    path = tmp_path / "good.txt"
+    mm.write_reduced(str(path), S, grades, 2)
+    return path.read_text()
+
+
+def _read_bad(tmp_path, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=match) as info:
+        mm.read_reduced(str(path), mm.INTEGERS)
+    assert str(path) in str(info.value)
+
+
+def test_reduced_truncated_file(tmp_path):
+    lines = _reduced_text(tmp_path).splitlines(keepends=True)
+    for cut in range(len(lines)):
+        _read_bad(tmp_path, "".join(lines[:cut]),
+                  rf"line {cut + 1}: file ends before")
+
+
+@pytest.mark.parametrize("head", ["k two\ncells 0\n", "k 2 2\ncells 0\n",
+                                  "k\ncells 0\n", "k -1\ncells 0\n"])
+def test_reduced_bad_k_line(tmp_path, head):
+    _read_bad(tmp_path, head + "boundary 0\n", "line 1: bad 'k' line")
+
+
+@pytest.mark.parametrize("count", ["1.5", "x", "-2"])
+def test_reduced_bad_cells_line(tmp_path, count):
+    _read_bad(tmp_path, f"k 1\n# comment\n\ncells {count}\nboundary 0\n",
+              "line 4: bad 'cells' line")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reduced_non_finite_grade(tmp_path, value):
+    _read_bad(tmp_path, f"k 2\ncells 2\n0 0 0.0 1.0\n1 0 1.0 {value}\n"
+              "boundary 0\n", "line 4: cell 1 has a non-finite grade")
+
+
+def test_reduced_duplicate_cell_id(tmp_path):
+    _read_bad(tmp_path, "k 1\ncells 2\n0 0 0.0\n0 1 1.0\nboundary 0\n",
+              "line 4: .*cell id 0 already in use")
+    _read_bad(tmp_path, "k 1\ncells 1\n0 -1 0.0\nboundary 0\n",
+              "line 3: .*negative dimension")
+
+
+def test_reduced_boundary_names_missing_cell(tmp_path):
+    for s, t, missing in ((2, 9, 9), (7, 0, 7)):
+        _read_bad(tmp_path, "k 1\ncells 3\n0 0 0.0\n1 0 0.0\n2 1 0.0\n"
+                  f"boundary 2\n2 1 1\n{s} {t} 1\n",
+                  f"line 8: .*no cell {missing}")
+
+
+def test_reduced_bad_boundary_entries(tmp_path):
+    head = "k 1\ncells 3\n0 0 0.0\n1 0 0.0\n2 1 0.0\nboundary 1\n"
+    _read_bad(tmp_path, head + "2 0 1/0\n", "line 7: bad boundary line")
+    _read_bad(tmp_path, head + "1 0 1\n", "line 7: .*dim 0 and dim 0")
+    _read_bad(tmp_path, "k 1\ncells 3\n0 0 0.0\n1 1 0.0\n2 2 0.0\n"
+              "boundary 2\n1 0 1\n2 1 1\n", r"dd != 0")
+
+
 def test_write_off_round_trip(tmp_path):
     mesh = helpers.sphere_mesh(1)
     path = tmp_path / "sphere.off"

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import multimorse as mm
@@ -180,6 +182,75 @@ def test_composed_maps_identities_and_supports():
             for g in C.cells():
                 for x in incl.image_of(g):
                     assert mm.leq(grades[x], grades[g])
+
+
+def _composed_step_by_step(S, steps):
+    """Reference composites: fold the per-step projection_map,
+    inclusion_map and homotopy_map in one step at a time, with
+    P' = pi P, I' = I iota and H' = H + I D P."""
+    ring = S.ring
+    proj = {c: {c: ring.one} for c in S.cells()}
+    incl = {c: {c: ring.one} for c in S.cells()}
+    homo = {}
+    for step in steps:
+        pi = mm.projection_map(step)
+        iota = mm.inclusion_map(step)
+        D = mm.homotopy_map(step)
+        before = mm.ChainMap(ring, incl)
+        for g, col in proj.items():
+            h = helpers.chain_add(ring, homo.get(g, {}),
+                                  before.apply(D.apply(col)))
+            if h:
+                homo[g] = h
+            else:
+                homo.pop(g, None)
+        proj = {g: pi.apply(col) for g, col in proj.items()}
+        incl = {g: before.apply(iota.image_of(g)) for g in incl
+                if g not in (step.sigma, step.tau)}
+    return proj, incl, homo
+
+
+def test_composed_maps_equal_step_by_step_composition():
+    rings = (mm.GF2, mm.RATIONALS, mm.INTEGERS, mm.PrimeField(5))
+    for ring in rings:
+        for seed in range(3):
+            S = helpers.random_complex(seed, n_top=10, ring=ring)
+            for k in (1, 2, 3):
+                f = helpers.random_grades(seed * 5 + k, 12, k=k)
+                index = mm.lex_indexing(f)
+                grades = mm.entry_grades(S, f)
+                for variant in ("strict", "weak"):
+                    P = mm.partition(S, f, index, variant)
+                    for order in ("generation", "dim-desc"):
+                        result = mm.reduce_all(S, P, grades=grades,
+                                               order=order, with_maps=True)
+                        proj, incl, homo = _composed_step_by_step(
+                            S, result.steps)
+                        assert result.maps.projection == proj
+                        assert result.maps.inclusion == incl
+                        assert result.maps.homotopy == homo
+
+
+def test_composed_maps_cost_within_factor_of_plain_reduction():
+    # The map output grows faster than the cell count (gradient paths
+    # lengthen with the mesh), so the gate is a factor over plain
+    # reduction on one mesh, not a line in cells.
+    mesh = helpers.sphere_mesh(5)
+    S = mm.mesh_complex(mesh)
+    f = mm.preset_abs_xy(mesh)
+    P = mm.partition(S, f, mm.lex_indexing(f))
+    grades = mm.entry_grades(S, f)
+
+    def best_time(with_maps):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            mm.reduce_all(S, P, grades=grades, with_maps=with_maps)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    plain, mapped = best_time(False), best_time(True)
+    assert mapped <= 10 * plain, (mapped, plain)
 
 
 def test_matching_stays_acyclic_during_reduction():
