@@ -100,7 +100,17 @@ def entry_grades(S: SimplicialComplex,
 
 def sublevel_cells(grades: Dict[int, Grade], alpha: Grade) -> Set[int]:
     """Cells present at grade alpha."""
-    return {c for c, g in grades.items() if leq(g, alpha)}
+    n = len(alpha)
+    out: Set[int] = set()
+    for c, g in grades.items():
+        if len(g) != n:
+            _check_pair(g, alpha)
+        for x, y in zip(g, alpha):
+            if not x <= y:
+                break
+        else:
+            out.add(c)
+    return out
 
 
 def sublevel_membership(grades: Dict[int, Grade], alpha: Grade):

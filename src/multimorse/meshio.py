@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .complexes import (ComplexError, SComplex, SimplicialComplex,
                         build_simplicial)
@@ -257,6 +257,7 @@ def read_reduced(path: str, ring: CoefficientRing = GF2
             raise fail(number, str(e)) from None
         grades[cid] = grade
     n_entries = count("boundary")
+    seen: Set[Tuple[int, int]] = set()
     for i in range(n_entries):
         number, parts = take(f"boundary line {i + 1} of {n_entries}")
         try:
@@ -265,6 +266,9 @@ def read_reduced(path: str, ring: CoefficientRing = GF2
         except (IndexError, ValueError, ZeroDivisionError):
             raise fail(number,
                        f"bad boundary line {' '.join(parts)!r}") from None
+        if (s, t) in seen:
+            raise fail(number, f"repeated boundary entry for cells {s},{t}")
+        seen.add((s, t))
         try:
             S.set_incidence(s, t, v)
         except ComplexError as e:

@@ -122,13 +122,21 @@ def _restricted_column(S: SComplex, c: int, cell_set,
     return col
 
 
-def _cycle_basis(S: SComplex, cell_set, q: int, fld: CoefficientRing,
-                 conv) -> List[Dict[int, object]]:
+def _by_dim(S: SComplex, cell_set) -> Dict[int, List[int]]:
+    """The cells of cell_set bucketed by dimension, each bucket sorted."""
+    out: Dict[int, List[int]] = {}
+    for c in sorted(cell_set):
+        out.setdefault(S.dim(c), []).append(c)
+    return out
+
+
+def _cycle_basis(S: SComplex, q_cells: List[int], cell_set,
+                 fld: CoefficientRing, conv) -> List[Dict[int, object]]:
     """Basis of the q-cycles of the subcomplex on cell_set, each vector a
-    combination of q-cells."""
+    combination of its q-cells, given sorted as q_cells."""
     pivots: Dict[int, Tuple[Dict, Dict]] = {}
     kernel: List[Dict[int, object]] = []
-    for c in sorted(x for x in cell_set if S.dim(x) == q):
+    for c in q_cells:
         vec = _restricted_column(S, c, cell_set, fld, conv)
         comb = {c: fld.one}
         while vec:
@@ -146,11 +154,12 @@ def _cycle_basis(S: SComplex, cell_set, q: int, fld: CoefficientRing,
     return kernel
 
 
-def _boundary_echelon(S: SComplex, cell_set, q: int, fld: CoefficientRing,
-                      conv) -> _Echelon:
-    """Echelon of the q-boundaries of the subcomplex on cell_set."""
+def _boundary_echelon(S: SComplex, upper_cells: List[int], cell_set,
+                      fld: CoefficientRing, conv) -> _Echelon:
+    """Echelon of the q-boundaries of the subcomplex on cell_set, given
+    its (q+1)-cells sorted as upper_cells."""
     ech = _Echelon(fld)
-    for c in sorted(x for x in cell_set if S.dim(x) == q + 1):
+    for c in upper_cells:
         ech.insert(_restricted_column(S, c, cell_set, fld, conv))
     return ech
 
@@ -199,11 +208,14 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     if top < 0:
         return HomologyRanks([], [] if with_torsion else None)
     all_cells = set(S.cells())
+    by_dim = _by_dim(S, all_cells)
     betti: List[int] = []
     torsion: Optional[List[List[int]]] = [] if with_torsion else None
     for q in range(top + 1):
-        cycles = len(_cycle_basis(S, all_cells, q, fld, conv))
-        borders = _boundary_echelon(S, all_cells, q, fld, conv).rank
+        cycles = len(_cycle_basis(S, by_dim.get(q, []), all_cells, fld,
+                                  conv))
+        borders = _boundary_echelon(S, by_dim.get(q + 1, []), all_cells,
+                                    fld, conv).rank
         betti.append(cycles - borders)
         if with_torsion:
             torsion.append(_integer_torsion(S, q))
@@ -219,8 +231,10 @@ def persistent_rank(S: SComplex, grades: Dict[int, Grade], alpha: Grade,
     fld, conv = _field_view(S, field)
     cells_a = sublevel_cells(grades, alpha)
     cells_b = sublevel_cells(grades, beta)
-    cycles = _cycle_basis(S, cells_a, q, fld, conv)
-    base = _boundary_echelon(S, cells_b, q, fld, conv)
+    cycles = _cycle_basis(S, _by_dim(S, cells_a).get(q, []), cells_a, fld,
+                          conv)
+    base = _boundary_echelon(S, _by_dim(S, cells_b).get(q + 1, []), cells_b,
+                             fld, conv)
     return _independent_count(cycles, base, fld)
 
 
@@ -247,13 +261,19 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
                ) -> Dict[Tuple[int, Grade, Grade], int]:
     """Persistent ranks for every ordered pair of grid grades and every
     dimension up to q_max. The default grid is the complex's distinct
-    entry grades; max_grades thins it to evenly spaced picks."""
+    entry grades; max_grades thins it to evenly spaced picks.
+
+    Each grid grade's sublevel set is computed and bucketed by dimension
+    once; cycle bases are cached per (alpha, q) and boundary echelons
+    per (beta, q), so each is eliminated once however many pairs read
+    it."""
     fld, conv = _field_view(S, field)
     if grid is None:
         grid = critical_grades(grades)
     grid = _thin(sorted(set(grid)), max_grades)
     q_hi = S.max_dim if q_max is None else q_max
     sublevels = {g: sublevel_cells(grades, g) for g in grid}
+    buckets = {g: _by_dim(S, cells) for g, cells in sublevels.items()}
     cycles: Dict[Tuple[Grade, int], List[Dict[int, object]]] = {}
     borders: Dict[Tuple[Grade, int], _Echelon] = {}
     table: Dict[Tuple[int, Grade, Grade], int] = {}
@@ -264,10 +284,12 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
             for q in range(q_hi + 1):
                 if (alpha, q) not in cycles:
                     cycles[alpha, q] = _cycle_basis(
-                        S, sublevels[alpha], q, fld, conv)
+                        S, buckets[alpha].get(q, []), sublevels[alpha],
+                        fld, conv)
                 if (beta, q) not in borders:
                     borders[beta, q] = _boundary_echelon(
-                        S, sublevels[beta], q, fld, conv)
+                        S, buckets[beta].get(q + 1, []), sublevels[beta],
+                        fld, conv)
                 table[q, alpha, beta] = _independent_count(
                     cycles[alpha, q], borders[beta, q], fld)
     return table
@@ -290,12 +312,13 @@ class EquivalenceReport:
     mismatches: List[Tuple[int, Grade, Grade]]
 
     def lines(self) -> List[str]:
+        flagged = set(self.mismatches)
         out = []
         for key in sorted(self.ranks_original):
             q, alpha, beta = key
             v = self.ranks_original[key]
             text = f"RANK {q} {_grade_text(alpha)} {_grade_text(beta)} {v}"
-            if key in set(self.mismatches):
+            if key in flagged:
                 text += f" != {self.ranks_reduced[key]} MISMATCH"
             out.append(text)
         return out

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .complexes import SComplex, SimplicialComplex, full_subcomplex, \
-    vertex_neighbors
+from .complexes import SComplex, SimplicialComplex, \
+    complex_from_simplices, vertex_neighbors
 from .filtration import MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
@@ -120,10 +120,16 @@ def match_table(S: SComplex, P: MatchPartition) -> str:
 def _ball_submesh(S: SimplicialComplex, center: int,
                   cell_limit: int) -> SimplicialComplex:
     """Grow a vertex ball around center ring by ring, stopping before
-    the induced subcomplex would exceed cell_limit cells."""
+    the induced subcomplex would exceed cell_limit cells; the center
+    alone is kept whatever the limit.
+
+    Each ring adds only the cells that have a vertex in it: the ring's
+    vertices and those of their cofaces whose vertices all lie in the
+    grown ball. The result equals full_subcomplex(S, ball) for the
+    final ball, at a cost set by the ball and not by S."""
     inside = {center}
     frontier = {center}
-    sub = full_subcomplex(S, inside)
+    kept = {(center,)}
     while frontier:
         ring_verts = set()
         for v in frontier:
@@ -131,13 +137,20 @@ def _ball_submesh(S: SimplicialComplex, center: int,
         ring_verts -= inside
         if not ring_verts:
             break
-        grown = full_subcomplex(S, inside | ring_verts)
-        if len(grown) > cell_limit:
+        grown = inside | ring_verts
+        new = set()
+        for v in ring_verts:
+            new.add((v,))
+            for c in S.cofaces_closure(S.cell_by_verts[(v,)]):
+                w = S.verts[c]
+                if all(u in grown for u in w):
+                    new.add(w)
+        if len(kept) + len(new) > cell_limit:
             break
-        inside |= ring_verts
+        inside = grown
         frontier = ring_verts
-        sub = grown
-    return sub
+        kept |= new
+    return complex_from_simplices(kept, S.ring)
 
 
 def sample_star_submeshes(S: SimplicialComplex, count: int,

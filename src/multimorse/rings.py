@@ -60,14 +60,37 @@ class CoefficientRing:
         return f"<ring {self.name}>"
 
 
+# Miller-Rabin with these bases is exact for every n below the limit
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test; raises RingError for moduli at or
+    above _MR_LIMIT, where the fixed bases no longer decide."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise RingError(
+            f"ring: modulus {p} is too large (limit {_MR_LIMIT})")
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

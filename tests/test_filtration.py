@@ -96,3 +96,15 @@ def test_check_face_monotone_detects_violation():
     S = helpers.single_edge()
     bad = {0: (1.0, 1.0), 1: (1.0, 1.0), 2: (0.0, 0.0)}
     assert not mm.check_face_monotone(S, bad)
+
+
+def test_sublevel_cells_matches_leq_and_checks_arity():
+    for seed in range(5):
+        S = helpers.random_complex(seed)
+        grades = mm.entry_grades(S, helpers.random_grades(seed, 12, levels=3))
+        for alpha in mm.critical_grades(grades) + [(0.5, 2.0), (-1.0, 9.0)]:
+            assert mm.sublevel_cells(grades, alpha) == {
+                c for c, g in grades.items() if mm.leq(g, alpha)}
+    with pytest.raises(GradeError, match="arity mismatch 2 vs 3"):
+        mm.sublevel_cells({0: (0.0, 0.0)}, (1.0, 1.0, 1.0))
+    assert mm.sublevel_cells({}, (1.0,)) == set()

@@ -253,6 +253,13 @@ def test_reduced_bad_boundary_entries(tmp_path):
               "boundary 2\n1 0 1\n2 1 1\n", r"dd != 0")
 
 
+def test_reduced_repeated_boundary_entry(tmp_path):
+    # the second entry for the pair 2,1 would silently replace the first
+    _read_bad(tmp_path, "k 1\ncells 3\n0 0 0.0\n1 0 0.0\n2 1 0.0\n"
+              "boundary 3\n2 1 -1\n2 0 1\n2 1 3\n",
+              "line 9: repeated boundary entry for cells 2,1")
+
+
 def test_write_off_round_trip(tmp_path):
     mesh = helpers.sphere_mesh(1)
     path = tmp_path / "sphere.off"

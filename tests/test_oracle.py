@@ -1,7 +1,7 @@
 import pytest
 
 import multimorse as mm
-from multimorse.oracle import OracleError, _thin
+from multimorse.oracle import EquivalenceReport, OracleError, _thin
 
 import helpers
 
@@ -178,3 +178,32 @@ def test_grid_thinning():
     report = mm.verify_equivalence(S, grades, S, dict(grades), max_grades=2)
     assert report.grid == [(0.0, 0.0), (1.0, 1.0)]
     assert report.ok
+
+
+def test_report_flags_exactly_the_mismatched_lines():
+    g0, g1 = (0.0, 0.0), (1.0, 1.0)
+    orig = {(0, g0, g0): 1, (0, g0, g1): 1, (0, g1, g1): 2, (1, g1, g1): 1}
+    red = dict(orig)
+    red[0, g0, g1] = 3
+    red[1, g1, g1] = 0
+    bad = [(0, g0, g1), (1, g1, g1)]
+    report = EquivalenceReport(False, 1, [g0, g1], orig, red, bad)
+    assert report.lines() == [
+        "RANK 0 0.0,0.0 0.0,0.0 1",
+        "RANK 0 0.0,0.0 1.0,1.0 1 != 3 MISMATCH",
+        "RANK 0 1.0,1.0 1.0,1.0 2",
+        "RANK 1 1.0,1.0 1.0,1.0 1 != 0 MISMATCH",
+    ]
+    assert report.summary() == "FAIL mismatches=2 checked=4 grades=2"
+
+
+def test_rank_table_agrees_with_persistent_rank():
+    # rank_table shares its per-grade buckets across pairs; persistent_rank
+    # recomputes each entry from scratch
+    for seed in range(3):
+        S = helpers.random_complex(seed, ring=mm.get_ring("z5"))
+        grades = mm.entry_grades(S, helpers.random_grades(seed, 12, levels=3))
+        table = mm.rank_table(S, grades)
+        assert table
+        for (q, alpha, beta), r in table.items():
+            assert mm.persistent_rank(S, grades, alpha, beta, q) == r

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,3 +71,41 @@ def test_prime_field_normalization():
     assert r.name == "z7"
     assert r == mm.PrimeField(7)
     assert r != mm.GF2
+
+
+def test_prime_moduli_small():
+    for p in (2, 3, 5, 7, 11, 13, 97, 7919):
+        assert mm.get_ring(f"z{p}").p == p
+    for n in (0, 1, 4, 6, 9, 15, 91, 561, 2047, 7917):
+        with pytest.raises(RingError, match="not prime"):
+            mm.PrimeField(n)
+
+
+def _timed_ring(name):
+    start = time.perf_counter()
+    try:
+        return mm.get_ring(name)
+    finally:
+        assert time.perf_counter() - start < 1.0
+
+
+def test_large_prime_moduli_answer_quickly():
+    # trial division up to sqrt(p) would take hours on these
+    assert _timed_ring("z1000000000000000003").p == 10**18 + 3
+    with pytest.raises(RingError, match="not prime"):
+        _timed_ring("z1000000000000000001")
+
+
+def test_strong_pseudoprimes_refused():
+    # each fools Miller-Rabin for a prefix of the fixed bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(RingError, match="not prime"):
+            mm.PrimeField(n)
+
+
+def test_modulus_beyond_exact_limit_refused():
+    from multimorse.rings import _MR_LIMIT
+    with pytest.raises(RingError, match=f"limit {_MR_LIMIT}"):
+        mm.PrimeField(_MR_LIMIT)
+    with pytest.raises(RingError, match="too large"):
+        mm.get_ring(f"z{2**89 - 1}")
