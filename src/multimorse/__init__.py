@@ -7,18 +7,16 @@ with an independent homology oracle that every multidimensional
 persistent homology rank survived.
 """
 
-from .complexes import (Chain, ComplexError, SComplex, SimplicialComplex,
+from .complexes import (ComplexError, SComplex, SimplicialComplex,
                         build_simplicial, complex_from_simplices,
                         full_subcomplex, vertex_neighbors)
 from .filtration import (Grade, GradeError, MeasuringFunction, cell_grade,
                          check_face_monotone, critical_grades, entry_grades,
-                         join, le_neq, leq, lt, sublevel_cells,
-                         sublevel_membership)
+                         join, le_neq, leq, lt, sublevel_cells)
 from .indexing import (ComparabilityDag, CycleError, build_dag, lex_indexing,
                        topo_sort_kahn, validate_indexing)
 from .matching import (LowerLink, MatchPartition, MatchingError, is_acyclic,
-                       lower_link, max_index, modified_hasse, partition,
-                       weak_lower_link)
+                       lower_link, max_index, modified_hasse, partition)
 from .meshio import (Mesh, MeshFormatError, mesh_complex, preset_abs_xy,
                      read_mesh, read_reduced, read_values, write_reduced)
 from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for submesh sampling (default 0)")
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write the reduced complex here")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for matching (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="multimorse",
@@ -82,7 +80,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         max_cells=args.max_cells,
         seed=args.seed,
         out=args.out,
-        threads=args.threads,
     )
 
 

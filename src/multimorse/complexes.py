@@ -11,32 +11,14 @@ alternating-sign rule: dropping the i-th vertex contributes (-1)**i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, ItemsView, List, Sequence, Set, Tuple
 
-from .rings import GF2, CoefficientRing, RingError
+from .rings import GF2, CoefficientRing
 
 
 class ComplexError(ValueError):
     """Raised for malformed complexes: bad cell ids, dimension-rule
     violations, or a boundary that does not square to zero."""
-
-
-@dataclass
-class Chain:
-    """Sparse chain in one dimension: cell id -> nonzero coefficient."""
-
-    dim: int
-    coeffs: Dict[int, object] = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.coeffs.items())
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 class SComplex:
@@ -120,12 +102,21 @@ class SComplex:
             raise ComplexError(f"complex: no cell {s if s not in self._dims else t}")
         return self._faces[s].get(t, self.ring.zero)
 
-    def boundary(self, c: int) -> Chain:
-        return Chain(self.dim(c) - 1, dict(self._faces[c]))
+    def boundary(self, c: int) -> ItemsView[int, object]:
+        """Primary faces of c with their incidence coefficients, as a
+        read-only view that follows later edits of the complex."""
+        try:
+            return self._faces[c].items()
+        except KeyError:
+            raise ComplexError(f"complex: no cell {c}") from None
 
-    def coboundary(self, c: int) -> Chain:
-        """Primary cofaces of c with their incidence coefficients."""
-        return Chain(self.dim(c) + 1, dict(self._cofaces[c]))
+    def coboundary(self, c: int) -> ItemsView[int, object]:
+        """Primary cofaces of c with their incidence coefficients, as a
+        read-only view that follows later edits of the complex."""
+        try:
+            return self._cofaces[c].items()
+        except KeyError:
+            raise ComplexError(f"complex: no cell {c}") from None
 
     def primary_faces(self, c: int) -> Set[int]:
         if c not in self._dims:
@@ -286,11 +277,9 @@ def vertex_neighbors(S: SimplicialComplex, vid: int) -> Set[int]:
     return out
 
 
-def full_subcomplex(S: SimplicialComplex, vertex_set: Set[int],
-                    ring: CoefficientRing | None = None) -> SimplicialComplex:
+def full_subcomplex(S: SimplicialComplex,
+                    vertex_set: Set[int]) -> SimplicialComplex:
     """Subcomplex of all cells whose vertices lie in vertex_set, keeping
-    the original vertex numbering."""
-    if ring is not None and ring != S.ring:
-        raise RingError("complex: subcomplex must keep the parent ring")
+    the original vertex numbering and the ring."""
     kept = [w for w in S.verts.values() if all(u in vertex_set for u in w)]
     return complex_from_simplices(kept, S.ring)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .complexes import SimplicialComplex
 
@@ -111,12 +111,6 @@ def sublevel_cells(grades: Dict[int, Grade], alpha: Grade) -> Set[int]:
         else:
             out.add(c)
     return out
-
-
-def sublevel_membership(grades: Dict[int, Grade], alpha: Grade):
-    """Membership predicate for the sublevel set at alpha."""
-    inside = sublevel_cells(grades, alpha)
-    return inside.__contains__
 
 
 def critical_grades(grades: Dict[int, Grade] | Iterable[Grade]) -> List[Grade]:

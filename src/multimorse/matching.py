@@ -15,15 +15,12 @@ link only when f(u) <= f(v) componentwise with f(u) != f(v). The weak
 variant also admits equal-grade vertices; inside partition the tie is
 broken by the vertex indexing (u admitted when index[u] < index[v]),
 which keeps the matching a bijection and the reversed Hasse diagram
-acyclic. The standalone weak_lower_link query keeps the symmetric
-reading, so equal-grade neighbors appear in each other's weak links.
+acyclic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .complexes import SimplicialComplex, complex_from_simplices
@@ -68,18 +65,13 @@ def _admission(f: MeasuringFunction, index: Sequence[int] | None,
                variant: str) -> Callable[[int, int], bool]:
     if variant == "strict":
         return lambda u, v: le_neq(f[u], f[v])
-    if variant == "weak":
-        if index is None:
-            raise MatchingError("matching: weak variant needs an indexing")
-        def admit(u: int, v: int) -> bool:
-            gu, gv = f[u], f[v]
-            if gu == gv:
-                return index[u] < index[v]
-            return leq(gu, gv)
-        return admit
-    if variant == "weak-literal":
-        return lambda u, v: leq(f[u], f[v])
-    raise MatchingError(f"matching: unknown variant {variant!r}")
+
+    def admit(u: int, v: int) -> bool:
+        gu, gv = f[u], f[v]
+        if gu == gv:
+            return index[u] < index[v]
+        return leq(gu, gv)
+    return admit
 
 
 def _link_of(S: SimplicialComplex, vid: int, v_cell: int,
@@ -107,31 +99,18 @@ def lower_link(S: SimplicialComplex, f: MeasuringFunction,
     return _link_of(S, v, v_cell, _admission(f, None, "strict"))
 
 
-def weak_lower_link(S: SimplicialComplex, f: MeasuringFunction,
-                    v: int) -> LowerLink:
-    """Weak lower link of v: like lower_link but equal-grade vertices
-    are admitted too."""
-    v_cell = S.cell_with_verts((v,))
-    return _link_of(S, v, v_cell, _admission(f, None, "weak-literal"))
-
-
-@dataclass
-class _Outcome:
-    """Everything one vertex contributes to the partition."""
-
-    vertex: int
-    edge: int | None = None
-    cone_pairs: List[Tuple[int, int]] = field(default_factory=list)
-    cone_critical: List[int] = field(default_factory=list)
-
-
-def _vertex_outcome(S: SimplicialComplex, f: MeasuringFunction,
-                    index: Sequence[int], variant: str,
-                    v_cell: int) -> _Outcome:
+def _match_vertex(S: SimplicialComplex, f: MeasuringFunction,
+                  index: Sequence[int], variant: str, v_cell: int,
+                  matched: Dict[int, int], critical: Set[int]) -> None:
+    """Add what one vertex contributes to the partition: the vertex
+    itself when its link is empty, else its edge to the link's chosen
+    critical vertex, then the link's pairs and other critical cells
+    carried through the cone."""
     vid = S.verts[v_cell][0]
     link = _link_of(S, vid, v_cell, _admission(f, index, variant))
     if len(link.complex) == 0:
-        return _Outcome(v_cell)
+        critical.add(v_cell)
+        return
     sub_matched, sub_critical = _partition_core(
         link.complex, f, index, variant)
     c0 = sorted(lc for lc in sub_critical if link.complex.dim(lc) == 0)
@@ -142,37 +121,24 @@ def _vertex_outcome(S: SimplicialComplex, f: MeasuringFunction,
     minimal = [(lc, u) for lc, u in pool
                if not any(le_neq(f[w], f[u]) for _, w in pool if w != u)]
     w0_cell, _ = min(minimal, key=lambda item: index[item[1]])
-    out = _Outcome(v_cell, edge=link.to_parent[w0_cell])
+    to_parent = link.to_parent
+    matched[v_cell] = to_parent[w0_cell]
     for lc in sorted(sub_critical):
         if lc != w0_cell:
-            out.cone_critical.append(link.to_parent[lc])
+            critical.add(to_parent[lc])
     for low, up in sub_matched.items():
-        out.cone_pairs.append((link.to_parent[low], link.to_parent[up]))
-    return out
+        matched[to_parent[low]] = to_parent[up]
 
 
 def _partition_core(S: SimplicialComplex, f: MeasuringFunction,
-                    index: Sequence[int], variant: str,
-                    threads: int = 1) -> Tuple[Dict[int, int], Set[int]]:
+                    index: Sequence[int], variant: str
+                    ) -> Tuple[Dict[int, int], Set[int]]:
     zero = S.cells_of_dim(0)
     zero.sort(key=lambda c: index[S.verts[c][0]])
-    worker = partial(_vertex_outcome, S, f, index, variant)
-    if threads > 1 and len(zero) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outcomes = list(ex.map(worker, zero))
-    else:
-        outcomes = [worker(v_cell) for v_cell in zero]
-
     matched: Dict[int, int] = {}
     critical: Set[int] = set()
-    for out in outcomes:
-        if out.edge is None:
-            critical.add(out.vertex)
-            continue
-        matched[out.vertex] = out.edge
-        critical.update(out.cone_critical)
-        for low, up in out.cone_pairs:
-            matched[low] = up
+    for v_cell in zero:
+        _match_vertex(S, f, index, variant, v_cell, matched, critical)
     assigned = set(matched)
     assigned.update(matched.values())
     assigned.update(critical)
@@ -183,14 +149,13 @@ def _partition_core(S: SimplicialComplex, f: MeasuringFunction,
 
 
 def partition(S: SimplicialComplex, f: MeasuringFunction,
-              index: Sequence[int], variant: str = "strict",
-              threads: int = 1) -> MatchPartition:
+              index: Sequence[int], variant: str = "strict"
+              ) -> MatchPartition:
     """Partition the cells of S into matched pairs and critical cells.
 
     f grades the vertices, index must be a valid indexing for f (only
-    cheap necessary conditions are re-checked here), variant selects the
-    strict or weak lower link, and threads > 1 processes top-level
-    vertices concurrently with identical output.
+    cheap necessary conditions are re-checked here), and variant selects
+    the strict or weak lower link.
     """
     if not isinstance(S, SimplicialComplex):
         raise MatchingError("matching: complex is not simplicial")
@@ -203,7 +168,7 @@ def partition(S: SimplicialComplex, f: MeasuringFunction,
         if index[v] in seen:
             raise MatchingError("matching: indexing is not injective")
         seen.add(index[v])
-    matched, critical = _partition_core(S, f, index, variant, threads)
+    matched, critical = _partition_core(S, f, index, variant)
     return MatchPartition(matched, critical)
 
 

@@ -54,7 +54,6 @@ class RunConfig:
     max_cells: int = 2000
     seed: int = 0
     out: Optional[str] = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.command not in ("sort", "match", "reduce", "verify", "stats"):
@@ -65,8 +64,8 @@ class RunConfig:
             raise PipelineError(f"run: unknown indexing {self.indexing!r}")
         if self.max_cells < 0:
             raise PipelineError("run: --max-cells must be >= 0")
-        if self.threads < 1:
-            raise PipelineError("run: --threads must be >= 1")
+        if self.q_max is not None and self.q_max < 0:
+            raise PipelineError("run: --qmax must be >= 0")
 
 
 def make_index(config: RunConfig, f: MeasuringFunction) -> List[int]:
@@ -175,7 +174,7 @@ def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
                 index: List[int], config: RunConfig,
                 max_grades: Optional[int]):
     grades = entry_grades(S, f)
-    P = partition(S, f, index, config.variant, config.threads)
+    P = partition(S, f, index, config.variant)
     result = reduce_all(S, P, grades=grades, order=config.order)
     return verify_equivalence(S, grades, result.complex, result.grades,
                               q_max=config.q_max, max_grades=max_grades)
@@ -245,7 +244,7 @@ def run(config: RunConfig) -> int:
         return run_verification(S, f, config)
 
     index = make_index(config, f)
-    P = partition(S, f, index, config.variant, config.threads)
+    P = partition(S, f, index, config.variant)
 
     if config.command == "match":
         print(match_table(S, P))

@@ -195,30 +195,28 @@ def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
 class ReductionResult:
     complex: SComplex
     grades: Optional[Dict[int, Grade]]
-    steps: List[ReductionStep]
     maps: Optional[ComposedMaps]
 
 
 def reduce_all(S: SComplex, matching: MatchPartition,
                grades: Optional[Dict[int, Grade]] = None,
-               order: str = "generation", with_maps: bool = False,
-               inplace: bool = False) -> ReductionResult:
+               order: str = "generation",
+               with_maps: bool = False) -> ReductionResult:
     """Reduce every matched pair of the matching.
 
     order selects the pair enumeration: "generation" keeps the order the
     matching emitted, "dim-desc" sorts by dimension of the lower cell,
     highest first (stable within a dimension). The target complex and the
-    final critical counts are the same either way. By default the input
-    complex is copied (as a bare cell complex); inplace=True mutates S.
+    final critical counts are the same either way. S and grades are
+    copied (S as a bare cell complex) and left unchanged.
     """
     if order not in ("generation", "dim-desc"):
         raise ReductionError(f"reduction: unknown order {order!r}")
     pairs: List[Tuple[int, int]] = matching.pairs()
     if order == "dim-desc":
         pairs.sort(key=lambda p: -S.dim(p[0]))
-    if not inplace:
-        S = S.plain_copy() if isinstance(S, SimplicialComplex) else S.copy()
-        grades = dict(grades) if grades is not None else None
+    S = S.plain_copy() if isinstance(S, SimplicialComplex) else S.copy()
+    grades = dict(grades) if grades is not None else None
     maps = None
     if with_maps:
         maps = ComposedMaps(
@@ -230,10 +228,8 @@ def reduce_all(S: SComplex, matching: MatchPartition,
         # reverse index of the projection, cell -> columns containing
         # it, for the matched cells: no step reads a critical cell's row
         rows: Dict[int, Set[int]] = {c: {c} for pair in pairs for c in pair}
-    steps: List[ReductionStep] = []
     for sigma, tau in pairs:
         step = reduce_pair(S, sigma, tau, grades)
         if maps is not None:
             _compose_step(maps, rows, step)
-        steps.append(step)
-    return ReductionResult(S, grades, steps, maps)
+    return ReductionResult(S, grades, maps)

@@ -113,7 +113,7 @@ def test_option_matrix(tmp_path, capsys):
                                         helpers.OCTAHEDRON_FACES))
     for extra in (["--variant", "weak"], ["--indexing", "kahn"],
                   ["--order", "dim-desc"], ["--ring", "q"], ["--ring", "z"],
-                  ["--ring", "z5"], ["--threads", "2"]):
+                  ["--ring", "z5"]):
         assert main(["reduce", mesh, "--verify"] + extra) == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -155,8 +155,8 @@ def test_input_errors(tmp_path, capsys):
     assert main(["match", mesh, "--values", short]) == 1
     assert "value lines" in capsys.readouterr().err
 
-    assert main(["verify", mesh, "--threads", "0"]) == 1
-    assert "threads" in capsys.readouterr().err
+    assert main(["verify", mesh, "--qmax", "-3"]) == 1
+    assert "--qmax" in capsys.readouterr().err
 
 
 def test_preset_and_values_conflict(tmp_path, capsys):

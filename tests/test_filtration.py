@@ -68,9 +68,9 @@ def test_entry_grades_monotone_and_membership():
         grades = mm.entry_grades(S, f)
         assert mm.check_face_monotone(S, grades)
         alpha = (1.0, 1.0)
-        member = mm.sublevel_membership(grades, alpha)
+        inside = mm.sublevel_cells(grades, alpha)
         for c in S.cells():
-            assert member(c) == mm.leq(grades[c], alpha)
+            assert (c in inside) == mm.leq(grades[c], alpha)
 
 
 def test_sublevel_closed_under_faces():

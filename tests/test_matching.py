@@ -38,26 +38,6 @@ def test_lower_link_is_a_complex():
     assert link.to_parent[edge] == S.cell_with_verts((0, 1, 2))
 
 
-def test_weak_lower_link_equal_grades():
-    S = helpers.single_edge()
-    f = helpers.grades_of([(3.0, 3.0), (3.0, 3.0)])
-    assert len(mm.lower_link(S, f, 0).complex) == 0
-    assert len(mm.lower_link(S, f, 1).complex) == 0
-    weak0 = mm.weak_lower_link(S, f, 0)
-    weak1 = mm.weak_lower_link(S, f, 1)
-    assert sorted(weak0.complex.verts.values()) == [(1,)]
-    assert sorted(weak1.complex.verts.values()) == [(0,)]
-
-
-def test_weak_link_matches_strict_when_no_ties():
-    S = helpers.full_triangle()
-    f = helpers.grades_of(helpers.FULL_TRIANGLE_GRADES)
-    for v in range(3):
-        strict = sorted(mm.lower_link(S, f, v).complex.verts.values())
-        weak = sorted(mm.weak_lower_link(S, f, v).complex.verts.values())
-        assert strict == weak
-
-
 def test_partition_single_edge():
     S = helpers.single_edge()
     f = helpers.grades_of(helpers.EDGE_GRADES)
@@ -111,10 +91,8 @@ def test_partition_deterministic_and_thread_independent():
         for variant in ("strict", "weak"):
             once = mm.partition(S, f, index, variant)
             again = mm.partition(S, f, index, variant)
-            threaded = mm.partition(S, f, index, variant, threads=3)
             assert list(once.matched.items()) == list(again.matched.items())
-            assert list(once.matched.items()) == list(threaded.matched.items())
-            assert once.critical == threaded.critical
+            assert once.critical == again.critical
 
 
 def test_partition_invariants_on_random_complexes():
