@@ -11,6 +11,7 @@ alternating-sign rule: dropping the i-th vertex contributes (-1)**i.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, ItemsView, List, Sequence, Set, Tuple
 
 from .rings import GF2, CoefficientRing
@@ -222,16 +223,19 @@ class SimplicialComplex(SComplex):
 
 
 def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
-    seen: Set[Tuple[int, ...]] = set()
+    """Every face of the given simplices, in (dimension, vertices) order."""
+    levels: Dict[int, Set[Tuple[int, ...]]] = {}
     for simplex in simplices:
         w = tuple(sorted(simplex))
+        if w in levels.get(len(w), ()):     # its faces are in already
+            continue
         if len(set(w)) != len(w):
             raise ComplexError(f"complex: repeated vertex in simplex {simplex}")
         if not w:
             raise ComplexError("complex: empty simplex")
-        for mask in range(1, 1 << len(w)):
-            seen.add(tuple(w[i] for i in range(len(w)) if mask >> i & 1))
-    return sorted(seen, key=lambda s: (len(s), s))
+        for r in range(1, len(w) + 1):
+            levels.setdefault(r, set()).update(combinations(w, r))
+    return [s for r in sorted(levels) for s in sorted(levels[r])]
 
 
 def complex_from_simplices(simplices: Iterable[Sequence[int]],
@@ -240,14 +244,25 @@ def complex_from_simplices(simplices: Iterable[Sequence[int]],
     coefficients. Cell ids are assigned in (dimension, vertex-tuple)
     order, so vertices come first in vertex order."""
     out = SimplicialComplex(ring)
-    plus, minus = ring.from_int(1), ring.from_int(-1)
-    for w in _closure(simplices):
-        c = out.add_simplex_cell(w)
-        for i in range(len(w)):
-            if len(w) == 1:
-                break
-            t = out.cell_by_verts[w[:i] + w[i + 1:]]
-            out.set_incidence(c, t, plus if i % 2 == 0 else minus)
+    # Written straight into the tables: every face of a closure cell is
+    # an earlier cell one dimension down, and +-1 is nonzero in every
+    # ring, so the checks of add_cell and set_incidence cannot fail.
+    signs = (ring.from_int(1), ring.from_int(-1))
+    dims, faces, cofaces = out._dims, out._faces, out._cofaces
+    by_verts = out.cell_by_verts
+    for c, w in enumerate(_closure(simplices)):
+        dims[c] = len(w) - 1
+        out.verts[c] = w
+        by_verts[w] = c
+        row: Dict[int, object] = {}
+        if len(w) > 1:
+            for i in range(len(w)):
+                t = by_verts[w[:i] + w[i + 1:]]
+                row[t] = signs[i % 2]
+                cofaces[t][c] = signs[i % 2]
+        faces[c] = row
+        cofaces[c] = {}
+    out._next_id = len(dims)
     return out
 
 

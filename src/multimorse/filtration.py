@@ -77,10 +77,16 @@ class MeasuringFunction:
         return len(self.grades)
 
     def __getitem__(self, v: int) -> Grade:
-        try:
-            return self.grades[v]
-        except IndexError:
-            raise GradeError(f"grades: no vertex {v}") from None
+        self.check_vertices(v, v)
+        return self.grades[v]
+
+    def check_vertices(self, lo: int, hi: int) -> None:
+        """Raise GradeError unless every vertex number from lo to hi has
+        a grade; callers reading `grades` directly check this first."""
+        if lo < 0:
+            raise GradeError(f"grades: no vertex {lo}")
+        if hi >= len(self.grades):
+            raise GradeError(f"grades: no vertex {hi}")
 
 
 def cell_grade(S: SimplicialComplex, f: MeasuringFunction, c: int) -> Grade:
@@ -95,7 +101,16 @@ def cell_grade(S: SimplicialComplex, f: MeasuringFunction, c: int) -> Grade:
 def entry_grades(S: SimplicialComplex,
                  f: MeasuringFunction) -> Dict[int, Grade]:
     """Entry grade of every cell of S."""
-    return {c: cell_grade(S, f, c) for c in S.cells()}
+    grades = f.grades
+    out: Dict[int, Grade] = {}
+    for c in S.cells():
+        w = S.verts[c]
+        f.check_vertices(w[0], w[-1])
+        if len(w) == 1:
+            out[c] = grades[w[0]]
+        else:
+            out[c] = tuple(map(max, *[grades[u] for u in w]))
+    return out
 
 
 def sublevel_cells(grades: Dict[int, Grade], alpha: Grade) -> Set[int]:

@@ -1,30 +1,34 @@
 """Filtration-compatible acyclic matchings built from vertex lower links.
 
 Cells are partitioned into lower matched cells (each paired with one of
-its primary cofaces), upper matched cells, and critical cells. The
-partition is computed one vertex at a time: the cells containing a given
-vertex v correspond to cones over v's lower link, so the algorithm
-recursively partitions the link (a smaller simplicial complex on the
-vertices below v), matches v itself with the cone over a distinguished
-minimal critical link vertex, and transports the link's matching through
-the cone. Vertices with an empty lower link, and any cell never touched
-by a cone, end up critical.
+its primary cofaces), upper matched cells, and critical cells. Every
+cell of dimension >= 1 belongs to the lower star of at most one vertex,
+its *apex*: the vertex of the cell that admits every other vertex of the
+cell below it. Admission is a strict partial order on the vertices, so
+the apex is unique when it exists and a linear scan finds it. One sweep
+over the cells therefore hands each cell, minus its apex, to the lower
+link of its apex; a cell without an apex stays critical. Each vertex v
+is then processed in index order: the algorithm recursively partitions
+v's link (a smaller complex of vertex tuples, swept the same way),
+matches v itself with the cone over a distinguished minimal critical
+link vertex, and transports the link's matching through the cone.
+Vertices with an empty lower link end up critical.
 
-Two link variants exist. The strict variant admits a vertex u into v's
-link only when f(u) <= f(v) componentwise with f(u) != f(v). The weak
-variant also admits equal-grade vertices; inside partition the tie is
-broken by the vertex indexing (u admitted when index[u] < index[v]),
-which keeps the matching a bijection and the reversed Hasse diagram
-acyclic.
+Two admission rules exist. The strict variant admits a vertex u below v
+only when f(u) <= f(v) componentwise with f(u) != f(v). The weak variant
+also admits equal-grade vertices, breaking the tie by the vertex
+indexing (u admitted when index[u] < index[v]), which keeps the matching
+a bijection and the reversed Hasse diagram acyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .complexes import SimplicialComplex, complex_from_simplices
-from .filtration import MeasuringFunction, le_neq, leq
+from .filtration import MeasuringFunction
 
 
 class MatchingError(ValueError):
@@ -61,91 +65,126 @@ class MatchPartition:
         return list(self.matched.items())
 
 
-def _admission(f: MeasuringFunction, index: Sequence[int] | None,
-               variant: str) -> Callable[[int, int], bool]:
+Simplex = Tuple[int, ...]
+Admission = Callable[[int, int], bool]
+
+
+def _admission(grades: Sequence[Tuple[float, ...]],
+               index: Sequence[int] | None, variant: str) -> Admission:
+    """admit(u, v): u may lie below v in v's lower link. The grades are
+    read directly, so every vertex passed in must have been checked
+    against the measuring function first."""
     if variant == "strict":
-        return lambda u, v: le_neq(f[u], f[v])
+        def admit(u: int, v: int) -> bool:
+            gu, gv = grades[u], grades[v]
+            return gu != gv and all(map(le, gu, gv))
+        return admit
 
     def admit(u: int, v: int) -> bool:
-        gu, gv = f[u], f[v]
+        gu, gv = grades[u], grades[v]
         if gu == gv:
             return index[u] < index[v]
-        return leq(gu, gv)
+        return all(map(le, gu, gv))
     return admit
 
 
-def _link_of(S: SimplicialComplex, vid: int, v_cell: int,
-             admit: Callable[[int, int], bool]) -> LowerLink:
-    member: List[Tuple[int, ...]] = []
-    for rho in S.cofaces_closure(v_cell):
-        w = tuple(u for u in S.verts[rho] if u != vid)
-        if all(admit(u, vid) for u in w):
-            member.append(w)
-    # admitted simplices are closed under faces, so this closure adds nothing
-    link = complex_from_simplices(member, S.ring) if member \
-        else SimplicialComplex(S.ring)
-    to_parent = {
-        lc: S.cell_by_verts[tuple(sorted(w + (vid,)))]
-        for lc, w in link.verts.items()
-    }
-    return LowerLink(link, to_parent)
+def _apex(w: Simplex, admit: Admission) -> int | None:
+    """The vertex of w that admits all its other vertices, or None."""
+    top = w[0]
+    for u in w[1:]:
+        if admit(top, u):
+            top = u
+    for u in w:
+        if u != top and not admit(u, top):
+            return None
+    return top
+
+
+def _cone(w: Simplex, v: int) -> Simplex:
+    return tuple(sorted(w + (v,)))
+
+
+def _partition_core(cells: List[Simplex], grades: Sequence[Tuple[float, ...]],
+                    index: Sequence[int], admit: Admission
+                    ) -> Tuple[List[Tuple[Simplex, Simplex]], List[Simplex]]:
+    """Partition a face-closed list of vertex tuples: the matched pairs
+    in emission order and the critical cells. One pass hands every cell
+    of dimension >= 1 to the link of its apex; cells without an apex are
+    critical and come last, in their input order."""
+    points: List[int] = []
+    links: Dict[int, List[Simplex]] = {}
+    loose: List[Simplex] = []
+    for w in cells:
+        if len(w) == 1:
+            points.append(w[0])
+            continue
+        top = _apex(w, admit)
+        if top is None:
+            loose.append(w)
+        else:
+            links.setdefault(top, []).append(
+                tuple(u for u in w if u != top))
+    points.sort(key=index.__getitem__)
+    matched: List[Tuple[Simplex, Simplex]] = []
+    critical: List[Simplex] = []
+    for v in points:
+        link = links.get(v)
+        if link is None:
+            critical.append((v,))
+            continue
+        _match_vertex(v, link, grades, index, admit, matched, critical)
+    critical.extend(loose)
+    return matched, critical
+
+
+def _match_vertex(v: int, link: List[Simplex],
+                  grades: Sequence[Tuple[float, ...]], index: Sequence[int],
+                  admit: Admission, matched: List[Tuple[Simplex, Simplex]],
+                  critical: List[Simplex]) -> None:
+    """Add what a vertex with a nonempty lower link contributes: its edge
+    to the link's chosen critical vertex, then the link's other critical
+    cells in (dimension, vertices) order and the link's pairs, all
+    carried through the cone."""
+    sub_matched, sub_critical = _partition_core(link, grades, index, admit)
+    pool = [w[0] for w in sub_critical if len(w) == 1]
+    if not pool:
+        raise MatchingError(
+            "matching: nonempty link produced no critical vertex")
+    minimal = []
+    for u in pool:
+        gu = grades[u]
+        if not any(w != u and grades[w] != gu and all(map(le, grades[w], gu))
+                   for w in pool):
+            minimal.append(u)
+    w0 = min(minimal, key=index.__getitem__)
+    matched.append(((v,), _cone((w0,), v)))
+    sub_critical.sort(key=lambda w: (len(w), w))
+    for w in sub_critical:
+        if w != (w0,):
+            critical.append(_cone(w, v))
+    for low, up in sub_matched:
+        matched.append((_cone(low, v), _cone(up, v)))
 
 
 def lower_link(S: SimplicialComplex, f: MeasuringFunction,
                v: int) -> LowerLink:
     """Strict lower link of vertex v: simplices joined to v all of whose
-    vertices have grade componentwise <= f(v) and different from it."""
+    vertices have grade componentwise <= f(v) and different from it,
+    i.e. the cells whose apex is v, with v removed."""
     v_cell = S.cell_with_verts((v,))
-    return _link_of(S, v, v_cell, _admission(f, None, "strict"))
-
-
-def _match_vertex(S: SimplicialComplex, f: MeasuringFunction,
-                  index: Sequence[int], variant: str, v_cell: int,
-                  matched: Dict[int, int], critical: Set[int]) -> None:
-    """Add what one vertex contributes to the partition: the vertex
-    itself when its link is empty, else its edge to the link's chosen
-    critical vertex, then the link's pairs and other critical cells
-    carried through the cone."""
-    vid = S.verts[v_cell][0]
-    link = _link_of(S, vid, v_cell, _admission(f, index, variant))
-    if len(link.complex) == 0:
-        critical.add(v_cell)
-        return
-    sub_matched, sub_critical = _partition_core(
-        link.complex, f, index, variant)
-    c0 = sorted(lc for lc in sub_critical if link.complex.dim(lc) == 0)
-    if not c0:
-        raise MatchingError(
-            "matching: nonempty link produced no critical vertex")
-    pool = [(lc, link.complex.verts[lc][0]) for lc in c0]
-    minimal = [(lc, u) for lc, u in pool
-               if not any(le_neq(f[w], f[u]) for _, w in pool if w != u)]
-    w0_cell, _ = min(minimal, key=lambda item: index[item[1]])
-    to_parent = link.to_parent
-    matched[v_cell] = to_parent[w0_cell]
-    for lc in sorted(sub_critical):
-        if lc != w0_cell:
-            critical.add(to_parent[lc])
-    for low, up in sub_matched.items():
-        matched[to_parent[low]] = to_parent[up]
-
-
-def _partition_core(S: SimplicialComplex, f: MeasuringFunction,
-                    index: Sequence[int], variant: str
-                    ) -> Tuple[Dict[int, int], Set[int]]:
-    zero = S.cells_of_dim(0)
-    zero.sort(key=lambda c: index[S.verts[c][0]])
-    matched: Dict[int, int] = {}
-    critical: Set[int] = set()
-    for v_cell in zero:
-        _match_vertex(S, f, index, variant, v_cell, matched, critical)
-    assigned = set(matched)
-    assigned.update(matched.values())
-    assigned.update(critical)
-    for c in S.cells():
-        if c not in assigned:
-            critical.add(c)
-    return matched, critical
+    admit = _admission(f.grades, None, "strict")
+    member: List[Simplex] = []
+    for rho in S.cofaces_closure(v_cell):
+        w = S.verts[rho]
+        f.check_vertices(w[0], w[-1])
+        if _apex(w, admit) == v:
+            member.append(tuple(u for u in w if u != v))
+    # admitted simplices are closed under faces, so this closure adds nothing
+    link = complex_from_simplices(member, S.ring) if member \
+        else SimplicialComplex(S.ring)
+    to_parent = {lc: S.cell_by_verts[_cone(w, v)]
+                 for lc, w in link.verts.items()}
+    return LowerLink(link, to_parent)
 
 
 def partition(S: SimplicialComplex, f: MeasuringFunction,
@@ -161,15 +200,23 @@ def partition(S: SimplicialComplex, f: MeasuringFunction,
         raise MatchingError("matching: complex is not simplicial")
     if variant not in ("strict", "weak"):
         raise MatchingError(f"matching: unknown variant {variant!r}")
+    vids = S.vertex_ids()
     seen: Set[int] = set()
-    for v in S.vertex_ids():
+    for v in vids:
         if not 0 <= v < len(index):
             raise MatchingError(f"matching: no index for vertex {v}")
         if index[v] in seen:
             raise MatchingError("matching: indexing is not injective")
         seen.add(index[v])
-    matched, critical = _partition_core(S, f, index, variant)
-    return MatchPartition(matched, critical)
+    if vids:
+        f.check_vertices(vids[0], vids[-1])
+    verts = S.verts
+    cells = [verts[c] for c in sorted(verts)]
+    pairs, critical = _partition_core(
+        cells, f.grades, index, _admission(f.grades, index, variant))
+    by_verts = S.cell_by_verts
+    return MatchPartition({by_verts[low]: by_verts[up] for low, up in pairs},
+                          {by_verts[w] for w in critical})
 
 
 def max_index(S: SimplicialComplex, index: Sequence[int], c: int) -> int:

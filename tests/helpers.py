@@ -6,6 +6,8 @@ import math
 import random
 
 import multimorse as mm
+from multimorse.complexes import ComplexError, SimplicialComplex
+from multimorse.matching import MatchingError
 
 # -- worked examples ----------------------------------------------------
 
@@ -149,6 +151,119 @@ def assert_step_algebra(pre, post, step):
         assert defect == chain_add(ring, dD, Dd)
 
 
+# -- reference implementations ------------------------------------------
+# The complex builder and the matching as they were written before the
+# one-sweep versions in the package: a checked add_simplex_cell /
+# set_incidence per cell, and a SimplicialComplex per lower link. Tests
+# compare the package against them cell for cell and time them.
+
+def _reference_closure(simplices):
+    seen = set()
+    for simplex in simplices:
+        w = tuple(sorted(simplex))
+        if len(set(w)) != len(w):
+            raise ComplexError(f"complex: repeated vertex in simplex {simplex}")
+        if not w:
+            raise ComplexError("complex: empty simplex")
+        for mask in range(1, 1 << len(w)):
+            seen.add(tuple(w[i] for i in range(len(w)) if mask >> i & 1))
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+def reference_complex_from_simplices(simplices, ring=mm.GF2):
+    out = SimplicialComplex(ring)
+    plus, minus = ring.from_int(1), ring.from_int(-1)
+    for w in _reference_closure(simplices):
+        c = out.add_simplex_cell(w)
+        for i in range(len(w)):
+            if len(w) == 1:
+                break
+            t = out.cell_by_verts[w[:i] + w[i + 1:]]
+            out.set_incidence(c, t, plus if i % 2 == 0 else minus)
+    return out
+
+
+def _reference_admission(f, index, variant):
+    if variant == "strict":
+        return lambda u, v: mm.le_neq(f[u], f[v])
+
+    def admit(u, v):
+        gu, gv = f[u], f[v]
+        if gu == gv:
+            return index[u] < index[v]
+        return mm.leq(gu, gv)
+    return admit
+
+
+def _reference_link_of(S, vid, v_cell, admit):
+    member = []
+    for rho in S.cofaces_closure(v_cell):
+        w = tuple(u for u in S.verts[rho] if u != vid)
+        if all(admit(u, vid) for u in w):
+            member.append(w)
+    link = reference_complex_from_simplices(member, S.ring) if member \
+        else SimplicialComplex(S.ring)
+    to_parent = {
+        lc: S.cell_by_verts[tuple(sorted(w + (vid,)))]
+        for lc, w in link.verts.items()
+    }
+    return link, to_parent
+
+
+def _reference_match_vertex(S, f, index, variant, v_cell, matched, critical):
+    vid = S.verts[v_cell][0]
+    link, to_parent = _reference_link_of(
+        S, vid, v_cell, _reference_admission(f, index, variant))
+    if len(link) == 0:
+        critical.add(v_cell)
+        return
+    sub_matched, sub_critical = _reference_partition_core(
+        link, f, index, variant)
+    c0 = sorted(lc for lc in sub_critical if link.dim(lc) == 0)
+    if not c0:
+        raise MatchingError(
+            "matching: nonempty link produced no critical vertex")
+    pool = [(lc, link.verts[lc][0]) for lc in c0]
+    minimal = [(lc, u) for lc, u in pool
+               if not any(mm.le_neq(f[w], f[u]) for _, w in pool if w != u)]
+    w0_cell, _ = min(minimal, key=lambda item: index[item[1]])
+    matched[v_cell] = to_parent[w0_cell]
+    for lc in sorted(sub_critical):
+        if lc != w0_cell:
+            critical.add(to_parent[lc])
+    for low, up in sub_matched.items():
+        matched[to_parent[low]] = to_parent[up]
+
+
+def _reference_partition_core(S, f, index, variant):
+    zero = S.cells_of_dim(0)
+    zero.sort(key=lambda c: index[S.verts[c][0]])
+    matched = {}
+    critical = set()
+    for v_cell in zero:
+        _reference_match_vertex(S, f, index, variant, v_cell, matched,
+                                critical)
+    assigned = set(matched)
+    assigned.update(matched.values())
+    assigned.update(critical)
+    for c in S.cells():
+        if c not in assigned:
+            critical.add(c)
+    return matched, critical
+
+
+def reference_lower_link(S, f, v):
+    """(link complex, to_parent) of the strict lower link of vertex v."""
+    return _reference_link_of(S, v, S.cell_with_verts((v,)),
+                              _reference_admission(f, None, "strict"))
+
+
+def reference_partition(S, f, index, variant="strict"):
+    """(matched, critical) of the per-vertex recursion; S, f and index
+    must already be valid partition inputs."""
+    return _reference_partition_core(S, f, index, variant)
+
+
 # -- meshes -------------------------------------------------------------
 
 OCTAHEDRON_VERTICES = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -190,6 +305,40 @@ def sphere_mesh(levels):
         n = math.sqrt(x * x + y * y + z * z)
         unit.append((x / n, y / n, z / n))
     return mm.Mesh(unit, [tuple(f) for f in faces])
+
+
+def grid_torus_faces(n):
+    """Triangles of an n x n grid with opposite sides glued; vertex
+    i * n + j sits at grid point (i, j)."""
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a = i * n + j
+            b = ((i + 1) % n) * n + j
+            c = ((i + 1) % n) * n + (j + 1) % n
+            d = i * n + (j + 1) % n
+            faces.extend([(a, b, c), (a, c, d)])
+    return faces
+
+
+def grid_torus(n, ring=mm.GF2):
+    return mm.build_simplicial(n * n, grid_torus_faces(n), ring)
+
+
+def meshes_with_solids(seed=13):
+    """(vertex count, simplices) for two spheres and two tori, each
+    with three 3-simplices and two 4-simplices added on random
+    vertices, so links reach dimension 3."""
+    rng = random.Random(seed)
+    bases = [(len(m.vertices), list(m.faces))
+             for m in (sphere_mesh(1), sphere_mesh(2))]
+    bases += [(side * side, grid_torus_faces(side)) for side in (4, 6)]
+    out = []
+    for n, faces in bases:
+        solids = [tuple(rng.sample(range(n), size))
+                  for size in (4, 4, 4, 5, 5)]
+        out.append((n, faces + solids))
+    return out
 
 
 def write_off(path, mesh):

@@ -91,6 +91,10 @@ def test_construction_errors():
         mm.build_simplicial(2, [[0, 0]])
     with pytest.raises(ComplexError):
         mm.build_simplicial(2, [[0, 5]])
+    with pytest.raises(ComplexError, match="empty simplex"):
+        mm.complex_from_simplices([()])
+    with pytest.raises(ComplexError, match="repeated vertex"):
+        mm.complex_from_simplices([(0, 1), (1, 0, 1)])
     S = mm.SComplex()
     S.add_cell(0, cell_id=4)
     with pytest.raises(ComplexError):
@@ -101,6 +105,31 @@ def test_construction_errors():
         S.boundary(99)
     with pytest.raises(ComplexError):
         S.coboundary(99)
+
+
+def _assert_same_complex(S, R):
+    assert S.cells() == R.cells()
+    assert list(S.verts.items()) == list(R.verts.items())
+    assert S.cell_by_verts == R.cell_by_verts
+    for c in R.cells():
+        assert S.dim(c) == R.dim(c)
+        assert list(S.boundary(c)) == list(R.boundary(c))
+        assert list(S.coboundary(c)) == list(R.coboundary(c))
+    assert S.add_cell(0) == R.add_cell(0)
+
+
+def test_complex_from_simplices_equals_reference_builder():
+    rng = random.Random(17)
+    for n, simplices in helpers.meshes_with_solids():
+        # repeats, reversed vertex orders, and faces of earlier simplices
+        extra = [tuple(reversed(s)) for s in rng.sample(simplices, 5)]
+        extra += [s[:2] for s in rng.sample(simplices, 5)]
+        extra += [simplices[0], (n - 1,)]
+        for given in (simplices, simplices + extra, extra + simplices):
+            for ring in (mm.GF2, mm.INTEGERS):
+                _assert_same_complex(
+                    mm.complex_from_simplices(given, ring),
+                    helpers.reference_complex_from_simplices(given, ring))
 
 
 def test_incidence_dimension_rule():

@@ -50,6 +50,8 @@ def test_measuring_function_validation():
         mm.MeasuringFunction([(math.nan, 0.0)])
     with pytest.raises(GradeError):
         f[5]
+    with pytest.raises(GradeError, match="no vertex -1"):
+        f[-1]
 
 
 def test_cell_grade():
@@ -59,6 +61,22 @@ def test_cell_grade():
     assert mm.cell_grade(S, f, 1) == (1.0, 0.0)
     edge12 = S.cell_with_verts((1, 2))
     assert mm.cell_grade(S, f, edge12) == (1.0, 1.0)
+
+
+def test_entry_grades_refuse_ungraded_vertices():
+    f = mm.MeasuringFunction([(0, 0), (1, 2)])
+    with pytest.raises(GradeError, match="no vertex -1"):
+        mm.entry_grades(mm.complex_from_simplices([(-1, 0)]), f)
+    with pytest.raises(GradeError, match="no vertex 2"):
+        mm.entry_grades(helpers.full_triangle(), f)
+
+
+def test_entry_grades_equal_cell_grade():
+    for seed in range(4):
+        S = helpers.random_complex(seed)
+        f = helpers.random_grades(seed, 12, k=seed + 1, levels=3)
+        assert mm.entry_grades(S, f) == {
+            c: mm.cell_grade(S, f, c) for c in S.cells()}
 
 
 def test_entry_grades_monotone_and_membership():

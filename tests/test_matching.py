@@ -1,6 +1,11 @@
+import math
+import random
+import time
+
 import pytest
 
 import multimorse as mm
+from multimorse.filtration import GradeError
 from multimorse.matching import MatchingError
 
 import helpers
@@ -126,6 +131,82 @@ def test_partition_input_errors():
         mm.partition(S, f, [1, 1])
     with pytest.raises(MatchingError):
         mm.partition(S, f, [0, 1], variant="loose")
+
+
+def _corpus_grades(rng, n, k, tied):
+    if tied:
+        return helpers.grades_of(
+            [[rng.randint(0, 2) for _ in range(k)] for _ in range(n)])
+    return helpers.grades_of(
+        [[rng.random() for _ in range(k)] for _ in range(n)])
+
+
+def test_partition_equals_reference():
+    rng = random.Random(29)
+    cases = 0
+    for n, simplices in helpers.meshes_with_solids():
+        # the matching never reads coefficients, so each ring takes half
+        # of the grade arities
+        for ring, arities in ((mm.GF2, (1, 3)), (mm.INTEGERS, (2, 4))):
+            S = mm.build_simplicial(n, simplices, ring)
+            for k in arities:
+                for tied in (True, False):
+                    f = _corpus_grades(rng, n, k, tied)
+                    shuffled = list(range(n))
+                    rng.shuffle(shuffled)
+                    for index in (mm.lex_indexing(f),
+                                  mm.topo_sort_kahn(mm.build_dag(f)),
+                                  shuffled):
+                        for variant in ("strict", "weak"):
+                            P = mm.partition(S, f, index, variant)
+                            matched, critical = helpers.reference_partition(
+                                S, f, index, variant)
+                            assert list(P.matched.items()) == \
+                                list(matched.items())
+                            assert P.critical == critical
+                            cases += 1
+    assert cases == 4 * 4 * 2 * 3 * 2
+
+
+def test_lower_link_equals_reference_link():
+    for seed in range(4):
+        S = helpers.random_complex(seed)
+        f = helpers.random_grades(seed + 30, 12)
+        for v in S.vertex_ids():
+            link = mm.lower_link(S, f, v)
+            ref, to_parent = helpers.reference_lower_link(S, f, v)
+            assert link.complex.verts == ref.verts
+            assert link.to_parent == to_parent
+
+
+def test_partition_cost_against_reference():
+    mesh = helpers.sphere_mesh(5)
+    S = mm.mesh_complex(mesh)
+    f = mm.preset_abs_xy(mesh)
+    index = mm.lex_indexing(f)
+
+    def best_of_3(fn):
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    ours = best_of_3(lambda: mm.partition(S, f, index))
+    ref = best_of_3(lambda: helpers.reference_partition(S, f, index))
+    assert ours <= 0.6 * ref, f"partition {ours:.3f} s, reference {ref:.3f} s"
+
+
+def test_ungraded_vertex_is_a_grade_error():
+    S = helpers.full_triangle()
+    short = helpers.grades_of(helpers.FULL_TRIANGLE_GRADES[:2])
+    with pytest.raises(GradeError, match="no vertex 2"):
+        mm.partition(S, short, [0, 1, 2])
+    with pytest.raises(GradeError, match="no vertex 2"):
+        mm.lower_link(S, short, 1)
+    with pytest.raises(GradeError, match="no vertex 2"):
+        mm.lower_link(S, short, 2)
 
 
 def test_max_index():

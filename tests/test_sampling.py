@@ -48,18 +48,6 @@ def _reference_samples(S, count, cell_limit, seed):
     return out
 
 
-def _grid_torus(n):
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a = i * n + j
-            b = ((i + 1) % n) * n + j
-            c = ((i + 1) % n) * n + (j + 1) % n
-            d = i * n + (j + 1) % n
-            faces.extend([(a, b, c), (a, c, d)])
-    return mm.build_simplicial(n * n, faces)
-
-
 def _two_octahedra_and_a_point():
     second = [tuple(v + 6 for v in f) for f in helpers.OCTAHEDRON_FACES]
     return mm.build_simplicial(13, helpers.OCTAHEDRON_FACES + second)
@@ -79,7 +67,7 @@ MESHES = {
     "sphere2": lambda: mm.mesh_complex(helpers.sphere_mesh(2)),
     "sphere3": lambda: mm.mesh_complex(helpers.sphere_mesh(3)),
     "sphere4": lambda: mm.mesh_complex(helpers.sphere_mesh(4)),
-    "torus8": lambda: _grid_torus(8),
+    "torus8": lambda: helpers.grid_torus(8),
 }
 
 
