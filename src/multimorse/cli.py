@@ -27,12 +27,14 @@ _COMMAND_HELP = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("mesh", help="input mesh file (.off or .obj)")
+    common.add_argument("mesh_path", metavar="mesh",
+                        help="input mesh file (.off or .obj)")
     source = common.add_mutually_exclusive_group()
     source.add_argument("--preset", choices=["abs-xy"], default="abs-xy",
                         help="measuring function from coordinates "
                              "(default: abs-xy)")
-    source.add_argument("--values", metavar="FILE", default=None,
+    source.add_argument("--values", dest="values_path", metavar="FILE",
+                        default=None,
                         help="per-vertex grades file, one line per vertex")
     common.add_argument("--variant", choices=["strict", "weak"],
                         default="strict", help="lower-link variant")
@@ -40,12 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vertex indexing construction")
     common.add_argument("--order", choices=["generation", "dim-desc"],
                         default="generation", help="pair reduction order")
-    common.add_argument("--ring", default="z2", metavar="RING",
+    common.add_argument("--ring", dest="ring_name", default="z2",
+                        metavar="RING",
                         help="coefficient ring: z2, q, z, or zp (default z2)")
-    common.add_argument("--qmax", type=int, default=None, metavar="Q",
+    common.add_argument("--qmax", dest="q_max", type=int, default=None,
+                        metavar="Q",
                         help="top homology dimension to certify")
-    common.add_argument("--verify", action="store_true",
-                        help="run the oracle after reducing")
     common.add_argument("--max-cells", type=int, default=2000, metavar="N",
                         help="cell cap for whole-complex certification "
                              "(default 2000)")
@@ -65,28 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        mesh_path=args.mesh,
-        values_path=args.values,
-        preset=args.preset,
-        variant=args.variant,
-        indexing=args.indexing,
-        order=args.order,
-        ring_name=args.ring,
-        q_max=args.qmax,
-        verify=args.verify,
-        max_cells=args.max_cells,
-        seed=args.seed,
-        out=args.out,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(RunConfig(**vars(args)))
     except ValueError as e:
         print(f"multimorse: {e}", file=sys.stderr)
         return 1

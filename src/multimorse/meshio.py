@@ -44,8 +44,12 @@ def _numbered_lines(text: str) -> List[Tuple[int, str]]:
     return out
 
 
-def _content_lines(text: str) -> List[str]:
-    return [line for _, line in _numbered_lines(text)]
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as e:
+        raise MeshFormatError(f"mesh: cannot read {path}: {e}") from None
 
 
 def _parse_off(lines: List[str], name: str) -> Mesh:
@@ -135,12 +139,7 @@ def _parse_obj(lines: List[str], name: str) -> Mesh:
 def read_mesh(path: str) -> Mesh:
     """Parse an OFF or OBJ file, by extension with an OFF-header
     fallback."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise MeshFormatError(f"mesh: cannot read {path}: {e}") from None
-    lines = _content_lines(text)
+    lines = [line for _, line in _numbered_lines(_read_text(path))]
     name = str(path)
     if name.lower().endswith(".obj"):
         return _parse_obj(lines, name)
@@ -151,11 +150,7 @@ def read_mesh(path: str) -> Mesh:
 
 def read_values(path: str) -> MeasuringFunction:
     """Read a values file: one line per vertex, k numbers per line."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = _content_lines(fh.read())
-    except OSError as e:
-        raise MeshFormatError(f"mesh: cannot read {path}: {e}") from None
+    lines = [line for _, line in _numbered_lines(_read_text(path))]
     grades = []
     for i, line in enumerate(lines):
         try:
@@ -182,10 +177,7 @@ def write_reduced(path: str, S: SComplex, grades: Dict[int, Grade],
                   k: int) -> None:
     """Write a reduced complex with its carried grades."""
     cells = S.cells()
-    entries = []
-    for s in cells:
-        for t in sorted(S.primary_faces(s)):
-            entries.append((s, t, S.incidence(s, t)))
+    entries = [(s, t, v) for s in cells for t, v in sorted(S.boundary(s))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"k {k}\n")
         fh.write(f"cells {len(cells)}\n")
@@ -206,11 +198,7 @@ def read_reduced(path: str, ring: CoefficientRing = GF2
     """Read a reduced-complex file back into a complex and its grades.
     Every malformed line raises MeshFormatError naming the file and the
     line number."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = _numbered_lines(fh.read())
-    except OSError as e:
-        raise MeshFormatError(f"mesh: cannot read {path}: {e}") from None
+    lines = _numbered_lines(_read_text(path))
     rest = iter(lines)
 
     def fail(number: int, message: str) -> MeshFormatError:

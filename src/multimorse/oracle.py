@@ -43,11 +43,15 @@ def _scaled(vec: Dict[int, object], c, fld: CoefficientRing) -> Dict[int, object
 
 class _Echelon:
     """Row space of inserted vectors; each stored row is normalized so
-    its largest-key entry (the pivot) has coefficient one."""
+    its largest-key entry (the pivot) has coefficient one. A base
+    echelon, when given, is read after the own rows and never
+    modified."""
 
-    def __init__(self, fld: CoefficientRing):
+    def __init__(self, fld: CoefficientRing,
+                 base: Optional["_Echelon"] = None):
         self.fld = fld
         self.rows: Dict[int, Dict[int, object]] = {}
+        self.base = base.rows if base is not None else {}
 
     def insert(self, vec: Dict[int, object]) -> bool:
         """Add vec to the space; True when it was independent."""
@@ -55,7 +59,7 @@ class _Echelon:
         vec = dict(vec)
         while vec:
             p = max(vec)
-            row = self.rows.get(p)
+            row = self.rows.get(p) or self.base.get(p)
             if row is None:
                 self.rows[p] = _scaled(vec, fld.inv(vec[p]), fld)
                 return True
@@ -69,23 +73,9 @@ class _Echelon:
 
 def _independent_count(vectors: List[Dict[int, object]], base: _Echelon,
                        fld: CoefficientRing) -> int:
-    """How many of the vectors are independent modulo base. The base
-    echelon is read, never modified."""
-    extra: Dict[int, Dict[int, object]] = {}
-    count = 0
-    for v in vectors:
-        vec = dict(v)
-        while vec:
-            p = max(vec)
-            row = base.rows.get(p)
-            if row is None:
-                row = extra.get(p)
-            if row is None:
-                extra[p] = _scaled(vec, fld.inv(vec[p]), fld)
-                count += 1
-                break
-            _axpy(vec, fld.neg(vec[p]), row, fld)
-    return count
+    """How many of the vectors are independent modulo base."""
+    ech = _Echelon(fld, base)
+    return sum(ech.insert(v) for v in vectors)
 
 
 def _field_view(S: SComplex, field: Optional[CoefficientRing]
@@ -177,20 +167,65 @@ class HomologyRanks:
 
 
 def _integer_torsion(S: SComplex, q: int) -> List[int]:
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import invariant_factors
+    """Invariant factors above one of the boundary map from the
+    (q+1)-chains to the q-chains. Unit pivots are eliminated sparsely,
+    column by column; the residue, which has no unit entry, goes through
+    a dense Smith form."""
+    cols = {c: {t: int(v) for t, v in S.boundary(c)}
+            for c in S.cells_of_dim(q + 1)}
+    by_row: Dict[int, set] = {}  # row -> columns that have held it
+    for c, col in cols.items():
+        for t in col:
+            by_row.setdefault(t, set()).add(c)
+    for c in list(cols):
+        col = cols[c]
+        r = next((t for t, v in col.items() if v in (1, -1)), None)
+        if r is None:
+            continue
+        del cols[c]
+        for d in by_row[r]:
+            other = cols.get(d, {})
+            if r not in other:  # d was a pivot, or lost row r since
+                continue
+            factor = other[r] * col[r]
+            for t, v in col.items():
+                nv = other.get(t, 0) - factor * v
+                if nv:
+                    other[t] = nv
+                    by_row[t].add(d)
+                else:
+                    del other[t]
+    rows = sorted({t for col in cols.values() for t in col})
+    m = [[col.get(t, 0) for col in cols.values()] for t in rows]
+    return sorted(d for d in _smith_diagonal(m) if d > 1)
 
-    rows = S.cells_of_dim(q)
-    cols = S.cells_of_dim(q + 1)
-    if not rows or not cols:
-        return []
-    row_pos = {c: i for i, c in enumerate(rows)}
-    m = [[0] * len(cols) for _ in rows]
-    for j, c in enumerate(cols):
-        for t, v in S.boundary(c):
-            m[row_pos[t]][j] = int(v)
-    facs = invariant_factors(Matrix(m), domain=ZZ)
-    return sorted(abs(int(d)) for d in facs if int(d) != 0 and abs(int(d)) != 1)
+
+def _smith_diagonal(m: List[List[int]]) -> List[int]:
+    """Nonzero Smith invariants of a dense integer matrix, consumed."""
+    out: List[int] = []
+    while any(map(any, m)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m)
+                      for j, v in enumerate(row) if v)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        p = m[0][0]
+        for row in m[1:]:
+            f = row[0] // p
+            row[:] = [a - f * b for a, b in zip(row, m[0])]
+        for j in range(1, len(m[0])):
+            f = m[0][j] // p
+            for row in m:
+                row[j] -= f * row[0]
+        if any(m[0][1:]):
+            continue  # a remainder below |p| is left; it pivots next
+        bad = next((row for row in m[1:] if any(v % p for v in row)), None)
+        if bad is not None:  # p must divide the rest: force a remainder
+            m[0] = [a + b for a, b in zip(m[0], bad)]
+            continue
+        out.append(abs(p))
+        m = [row[1:] for row in m[1:]]
+    return out
 
 
 def homology(S: SComplex, ring: Optional[CoefficientRing] = None

@@ -50,7 +50,6 @@ class RunConfig:
     order: str = "generation"
     ring_name: str = "z2"
     q_max: Optional[int] = None
-    verify: bool = False
     max_cells: int = 2000
     seed: int = 0
     out: Optional[str] = None
@@ -74,6 +73,14 @@ def make_index(config: RunConfig, f: MeasuringFunction) -> List[int]:
     return lex_indexing(f)
 
 
+def _table(rows: List[Tuple[str, ...]]) -> str:
+    """Right-aligned columns, two spaces apart."""
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return "\n".join(
+        "  ".join(col.rjust(w) for col, w in zip(row, widths))
+        for row in rows)
+
+
 def stats_table(S: SComplex, C: SComplex) -> str:
     """Per-dimension cell counts of a complex and its reduction, with
     percentages kept (one decimal) and a totals row."""
@@ -91,10 +98,7 @@ def stats_table(S: SComplex, C: SComplex) -> str:
         rows.append((str(q), str(ns), str(nc), pct(nc, ns)))
     rows.append(("total", str(total_s), str(total_c),
                  pct(total_c, total_s)))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    return "\n".join(
-        "  ".join(col.rjust(w) for col, w in zip(row, widths))
-        for row in rows)
+    return _table(rows)
 
 
 def match_table(S: SComplex, P: MatchPartition) -> str:
@@ -110,10 +114,7 @@ def match_table(S: SComplex, P: MatchPartition) -> str:
         totals = [totals[0] + na, totals[1] + nb, totals[2] + nc]
         rows.append((str(q), str(na), str(nb), str(nc)))
     rows.append(("total",) + tuple(str(t) for t in totals))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    return "\n".join(
-        "  ".join(col.rjust(w) for col, w in zip(row, widths))
-        for row in rows)
+    return _table(rows)
 
 
 def _ball_submesh(S: SimplicialComplex, center: int,
@@ -213,24 +214,28 @@ def run(config: RunConfig) -> int:
     mesh = read_mesh(config.mesh_path)
     S = mesh_complex(mesh, ring)
 
-    if not mesh.vertices:
-        if config.command in ("stats", "reduce"):
-            print(stats_table(S, S))
-        elif config.command == "match":
-            print(match_table(S, MatchPartition({}, set())))
-        elif config.command == "verify":
-            print("PASS checked=0 grades=0")
-        return 0
-
     if config.command == "stats":
         print(stats_table(S, S))
         return 0
 
-    f = read_values(config.values_path) if config.values_path \
-        else preset_abs_xy(mesh)
-    if len(f) != len(mesh.vertices):
-        raise PipelineError(
-            f"run: {len(f)} value lines for {len(mesh.vertices)} vertices")
+    if config.values_path:
+        f = read_values(config.values_path)
+        if len(f) != len(mesh.vertices):
+            raise PipelineError(
+                f"run: {len(f)} value lines for {len(mesh.vertices)} vertices")
+    elif not mesh.vertices:
+        # the preset has no grades to give, so every output is empty
+        if config.command == "match":
+            print(match_table(S, MatchPartition({}, set())))
+        elif config.command == "verify":
+            print("PASS checked=0 grades=0")
+        elif config.command == "reduce":
+            print(stats_table(S, S))
+            if config.out:
+                write_reduced(config.out, S, {}, 2)  # abs-xy grades: k = 2
+        return 0
+    else:
+        f = preset_abs_xy(mesh)
 
     if config.command == "sort":
         index = make_index(config, f)
@@ -257,6 +262,4 @@ def run(config: RunConfig) -> int:
     print(stats_table(S, result.complex))
     if config.out:
         write_reduced(config.out, result.complex, result.grades, f.k)
-    if config.verify:
-        return run_verification(S, f, config)
     return 0

@@ -69,7 +69,6 @@ class ReductionStep:
 
     sigma: int
     tau: int
-    dim_sigma: int
     pivot: object
     tau_faces: Dict[int, object]
     sigma_cofaces: Dict[int, object]
@@ -93,8 +92,8 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
             f"({sigma}, {tau}) is not a unit in {ring.name}")
     tau_faces = {xi: b for xi, b in S.boundary(tau) if xi != sigma}
     sigma_cofaces = {eta: a for eta, a in S.coboundary(sigma) if eta != tau}
-    step = ReductionStep(sigma, tau, S.dim(sigma), pivot,
-                         tau_faces, sigma_cofaces, ring)
+    step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces,
+                         ring)
     S.remove_cell(sigma)
     S.remove_cell(tau)
     if grades is not None:

@@ -17,7 +17,9 @@ class RingError(ValueError):
 
 
 class CoefficientRing:
-    """Common interface of the supported coefficient rings."""
+    """Common interface of the supported coefficient rings. Addition and
+    multiplication default to Python's own operators, which Z and Q use
+    as they are."""
 
     name = "?"
     is_field = False
@@ -25,16 +27,16 @@ class CoefficientRing:
     one: object = 1
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return a - b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -149,18 +151,6 @@ class Rationals(CoefficientRing):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def is_unit(self, a) -> bool:
         return a != 0
 
@@ -191,18 +181,6 @@ class Integers(CoefficientRing):
     """Z; only +1 and -1 are units, division must be exact."""
 
     name = "z"
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a) -> bool:
         return a in (1, -1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import multimorse as mm
 from multimorse.complexes import ComplexError, SimplicialComplex
@@ -149,6 +150,67 @@ def assert_step_algebra(pre, post, step):
         dD = boundary_of_chain(pre, D.image_of(g))
         Dd = D.apply(dict(pre.boundary(g)))
         assert defect == chain_add(ring, dD, Dd)
+
+
+# -- integer torsion ------------------------------------------------------
+
+def _determinant(a):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j]
+               * _determinant([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+def reference_torsion(m):
+    """Invariant factors above one of an integer matrix, from its
+    determinantal divisors: d_k is the gcd of all k x k minors and the
+    k-th factor is d_k / d_(k-1)."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    out, prev = [], 1
+    for k in range(1, min(n_rows, n_cols) + 1):
+        d = 0
+        for rs in combinations(range(n_rows), k):
+            for cs in combinations(range(n_cols), k):
+                d = math.gcd(d, _determinant([[m[i][j] for j in cs]
+                                              for i in rs]))
+        if d == 0:
+            break
+        if d // prev > 1:
+            out.append(d // prev)
+        prev = d
+    return out
+
+
+def wedge_with_cells(m):
+    """One vertex, a circle per row of m and a 2-cell per column, the
+    2-cell j attached along m[i][j] times circle i. H_1 over z is
+    coker(m), so its torsion is the invariant factors of m above one."""
+    S = mm.SComplex(mm.INTEGERS)
+    S.add_cell(0)
+    loops = [S.add_cell(1) for _ in m]
+    for j in range(len(m[0]) if m else 0):
+        cell = S.add_cell(2)
+        for e, row in zip(loops, m):
+            S.set_incidence(cell, e, row[j])
+    return S
+
+
+def klein_bottle(n=4):
+    """n x n grid with its sides glued as a Klein bottle: vertex
+    i * n + j at (i, j); (n, j) is glued to (0, -j)."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, -j
+        return i * n + j % n
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            faces.extend([(a, b, c), (a, c, d)])
+    return mm.build_simplicial(n * n, faces, mm.INTEGERS)
 
 
 # -- reference implementations ------------------------------------------

@@ -92,12 +92,21 @@ def test_verify_qmax(tmp_path, capsys):
     assert all(line.split()[1] == "0" for line in out[:-1])
 
 
-def test_reduce_with_verify_flag(tmp_path, capsys):
+def test_reduce_then_verify(tmp_path, capsys):
     mesh = _mesh_file(tmp_path, TRIANGLE)
     values = _values_file(tmp_path, helpers.FULL_TRIANGLE_GRADES)
-    assert main(["reduce", mesh, "--values", values, "--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "total" in out and "PASS checked=18 grades=3" in out
+    assert main(["reduce", mesh, "--values", values]) == 0
+    assert "total" in capsys.readouterr().out
+    assert main(["verify", mesh, "--values", values]) == 0
+    assert "PASS checked=18 grades=3" in capsys.readouterr().out
+
+
+def test_reduce_has_no_verify_flag(tmp_path, capsys):
+    mesh = _mesh_file(tmp_path, TRIANGLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", mesh, "--verify"])
+    assert exc.value.code == 2
+    assert "--verify" in capsys.readouterr().err
 
 
 def test_preset_default_on_octahedron(tmp_path, capsys):
@@ -114,7 +123,7 @@ def test_option_matrix(tmp_path, capsys):
     for extra in (["--variant", "weak"], ["--indexing", "kahn"],
                   ["--order", "dim-desc"], ["--ring", "q"], ["--ring", "z"],
                   ["--ring", "z5"]):
-        assert main(["reduce", mesh, "--verify"] + extra) == 0
+        assert main(["verify", mesh] + extra) == 0
         assert "PASS" in capsys.readouterr().out
 
 
@@ -126,7 +135,20 @@ def test_empty_mesh(tmp_path, capsys):
     assert _last_row(capsys.readouterr().out) == ["total", "0", "0", "0"]
     assert main(["verify", mesh]) == 0
     assert capsys.readouterr().out.strip() == "PASS checked=0 grades=0"
-    assert main(["reduce", mesh]) == 0
+    assert main(["sort", mesh]) == 0
+    assert capsys.readouterr().out == ""
+    out_path = tmp_path / "reduced.txt"
+    assert main(["reduce", mesh, "--out", str(out_path)]) == 0
+    assert _last_row(capsys.readouterr().out) == ["total", "0", "0", "0.0"]
+    assert out_path.read_text() == "k 2\ncells 0\nboundary 0\n"
+    C, grades = mm.read_reduced(str(out_path))
+    assert len(C) == 0 and grades == {}
+    missing = str(tmp_path / "missing.values")
+    for command in ("sort", "match", "reduce", "verify"):
+        assert main([command, mesh, "--values", missing]) == 1
+        assert capsys.readouterr().err.startswith("multimorse: mesh:")
+    # stats reads no grades
+    assert main(["stats", mesh, "--values", missing]) == 0
     capsys.readouterr()
 
 

@@ -1,3 +1,8 @@
+import builtins
+import random
+import sys
+import time
+
 import pytest
 
 import multimorse as mm
@@ -207,3 +212,77 @@ def test_rank_table_agrees_with_persistent_rank():
         assert table
         for (q, alpha, beta), r in table.items():
             assert mm.persistent_rank(S, grades, alpha, beta, q) == r
+
+
+def test_torsion_matches_determinantal_divisors():
+    rng = random.Random(7)
+    with_torsion = 0
+    for _ in range(320):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice([2, 3, 4, 6, 9])
+        m = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+              for _ in range(n_cols)] for _ in range(n_rows)]
+        expected = helpers.reference_torsion(m)
+        ranks = mm.homology(helpers.wedge_with_cells(m), mm.INTEGERS)
+        assert ranks.torsion[1] == expected, m
+        with_torsion += bool(expected)
+    assert with_torsion >= 50
+
+
+def test_torsion_of_known_spaces():
+    klein = helpers.klein_bottle()
+    assert len(klein) == 16 + 48 + 32
+    for e in klein.cells_of_dim(1):
+        assert len(klein.primary_cofaces(e)) == 2
+    assert mm.homology(klein, mm.GF2).betti == [1, 2, 1]
+    ranks = mm.homology(klein, mm.INTEGERS)
+    assert ranks.betti == [1, 1, 0]
+    assert ranks.torsion == [[], [2], []]
+    # a disk attached to a circle by a map of degree 3
+    ranks = mm.homology(helpers.wedge_with_cells([[3]]), mm.INTEGERS)
+    assert ranks.betti == [1, 0, 0]
+    assert ranks.torsion == [[], [3], []]
+
+
+def test_integer_homology_cost_against_rationals():
+    # the reduced torus of the maps-ties benchmark: 24 x 24 grid, each
+    # point of a 4 x 4 grade grid on 36 vertices, weak partition over z
+    n = 24
+    S = helpers.grid_torus(n, mm.INTEGERS)
+    values = [(float(a), float(b)) for b in range(4) for a in range(4)] * 36
+    random.Random(1).shuffle(values)
+    f = mm.MeasuringFunction(values)
+    P = mm.partition(S, f, mm.topo_sort_kahn(mm.build_dag(f)), "weak")
+    C = mm.reduce_all(S, P, grades=mm.entry_grades(S, f)).complex
+
+    def best_of_3(ring):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            ranks = mm.homology(C, ring)
+            best = min(best, time.perf_counter() - t0)
+        return best, ranks
+
+    t_z, ranks = best_of_3(mm.INTEGERS)
+    t_q, _ = best_of_3(mm.RATIONALS)
+    assert ranks.betti == [1, 2, 1]
+    assert ranks.torsion == [[], [], []]
+    assert t_z <= 2 * t_q, f"over z {t_z:.3f} s, over q {t_q:.3f} s"
+
+
+def test_integer_homology_needs_only_the_standard_library(monkeypatch):
+    real_import = builtins.__import__
+
+    def stdlib_only(name, globals=None, locals=None, fromlist=(), level=0):
+        top = name.split(".")[0]
+        if level == 0 and top not in sys.stdlib_module_names \
+                and top != "multimorse":
+            raise ImportError(f"{name} is outside the standard library")
+        return real_import(name, globals, locals, fromlist, level)
+
+    S = mm.build_simplicial(6, [list(f) for f in PROJECTIVE_PLANE_FACES],
+                            mm.INTEGERS)
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "__import__", stdlib_only)
+        ranks = mm.homology(S, mm.INTEGERS)
+    assert ranks.torsion == [[], [2], []]
