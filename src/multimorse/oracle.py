@@ -2,22 +2,31 @@
 
 Everything here recomputes ranks directly from boundary matrices by
 exact Gaussian elimination, deliberately sharing no code with the
-matching or reduction machinery, so it can certify their output. The
-rank of the map H_q(sublevel at alpha) -> H_q(sublevel at beta) over a
-field equals the number of cycle-space basis vectors at alpha that stay
-independent modulo the boundary space at beta; the implementation counts
-exactly that, caching cycle bases per (alpha, q) and boundary echelons
-per (beta, q). Integer homology (Betti numbers plus torsion) goes
-through a Smith normal form.
+matching or reduction machinery, so it can certify their output.
+
+For each grid grade alpha and dimension q, one column elimination of
+the q-cells of the sublevel set at alpha gives both its q-cycles (the
+cell combinations that reduce to zero) and its (q-1)-boundaries (the
+pivots). Each cell's boundary column is converted once per table. The
+cycles of alpha independent modulo its own boundaries are its homology
+representatives, and the rank of H_q(alpha) -> H_q(beta) over a field
+is the number of them that stay independent modulo the boundaries at
+beta. Integer homology (Betti numbers plus torsion) goes through a
+Smith normal form; when both complexes are over the integers,
+verify_equivalence also compares the torsion of their sublevel
+complexes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import le
+from typing import (Callable, Dict, KeysView, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .complexes import SComplex
-from .filtration import Grade, critical_grades, leq, sublevel_cells
+from .filtration import Grade, GradeError, critical_grades, leq
 from .rings import RATIONALS, CoefficientRing, Integers
 
 
@@ -27,17 +36,10 @@ class OracleError(ValueError):
     not closed under faces."""
 
 
-def _axpy(target: Dict[int, object], c, source: Dict[int, object],
-          fld: CoefficientRing) -> None:
-    for k, v in source.items():
-        nv = fld.add(target.get(k, fld.zero), fld.mul(c, v))
-        if nv == fld.zero:
-            target.pop(k, None)
-        else:
-            target[k] = nv
-
-
 def _scaled(vec: Dict[int, object], c, fld: CoefficientRing) -> Dict[int, object]:
+    """c * vec; vec itself (the caller's to give away) when c is one."""
+    if c == fld.one:
+        return vec
     return {k: fld.mul(c, v) for k, v in vec.items()}
 
 
@@ -63,7 +65,7 @@ class _Echelon:
             if row is None:
                 self.rows[p] = _scaled(vec, fld.inv(vec[p]), fld)
                 return True
-            _axpy(vec, fld.neg(vec[p]), row, fld)
+            fld.axpy(vec, fld.neg(vec[p]), row)
         return False
 
     @property
@@ -79,8 +81,9 @@ def _independent_count(vectors: List[Dict[int, object]], base: _Echelon,
 
 
 def _field_view(S: SComplex, field: Optional[CoefficientRing]
-                ) -> Tuple[CoefficientRing, Callable]:
-    """Resolve the field to compute over and the coefficient coercion.
+                ) -> Tuple[CoefficientRing, Optional[Callable]]:
+    """Resolve the field to compute over and the coefficient coercion,
+    None when the complex's own values serve.
 
     Integer-coefficient complexes default to the rationals; a complex
     over a field must be computed over that same field."""
@@ -92,66 +95,122 @@ def _field_view(S: SComplex, field: Optional[CoefficientRing]
     if not fld.is_field:
         raise OracleError("oracle: rank computations need field coefficients")
     if fld == ring:
-        return fld, lambda v: v
+        return fld, None
     if isinstance(ring, Integers):
         return fld, fld.from_int
     raise OracleError(
         f"oracle: cannot view {ring.name} coefficients in {fld.name}")
 
 
-def _restricted_column(S: SComplex, c: int, cell_set,
-                       fld: CoefficientRing, conv) -> Dict[int, object]:
-    col: Dict[int, object] = {}
-    for t, v in S.boundary(c):
-        if t not in cell_set:
-            raise OracleError(
-                f"oracle: face {t} of cell {c} missing from sublevel set")
-        w = conv(v)
-        if w != fld.zero:
-            col[t] = w
-    return col
+class _Columns:
+    """Boundary columns over the computing field, each converted and
+    stripped of zeros once, however many sublevel sets hold its cell."""
+
+    def __init__(self, S: SComplex, fld: CoefficientRing,
+                 conv: Optional[Callable]):
+        self.S, self.fld, self.conv = S, fld, conv
+        self.cache: Dict[int, Tuple[KeysView, Dict[int, object]]] = {}
+
+    def of(self, cells: Sequence[int], below: Set[int]
+           ) -> List[Tuple[int, Dict[int, object]]]:
+        """(cell, column) for each cell; raises OracleError unless every
+        face of every cell lies in below."""
+        out = []
+        cache = self.cache
+        for c in cells:
+            entry = cache.get(c)
+            if entry is None:
+                col = dict(self.S.boundary(c))
+                faces = col.keys()
+                if self.conv is not None:
+                    zero, conv = self.fld.zero, self.conv
+                    col = {t: w for t, w in zip(col, map(conv, col.values()))
+                           if w != zero}
+                entry = cache[c] = (faces, col)
+            if not entry[0] <= below:
+                t = next(t for t in entry[0] if t not in below)
+                raise OracleError(
+                    f"oracle: face {t} of cell {c} missing from sublevel set")
+            out.append((c, entry[1]))
+        return out
 
 
-def _by_dim(S: SComplex, cell_set) -> Dict[int, List[int]]:
-    """The cells of cell_set bucketed by dimension, each bucket sorted."""
-    out: Dict[int, List[int]] = {}
-    for c in sorted(cell_set):
-        out.setdefault(S.dim(c), []).append(c)
-    return out
-
-
-def _cycle_basis(S: SComplex, q_cells: List[int], cell_set,
-                 fld: CoefficientRing, conv) -> List[Dict[int, object]]:
-    """Basis of the q-cycles of the subcomplex on cell_set, each vector a
-    combination of its q-cells, given sorted as q_cells."""
-    pivots: Dict[int, Tuple[Dict, Dict]] = {}
-    kernel: List[Dict[int, object]] = []
-    for c in q_cells:
-        vec = _restricted_column(S, c, cell_set, fld, conv)
-        comb = {c: fld.one}
+def _eliminate(cols: List[Tuple[int, Dict[int, object]]],
+               fld: CoefficientRing, track: bool
+               ) -> Tuple[Dict[int, Dict[int, object]], _Echelon]:
+    """Column-reduce the boundary columns of a set of q-cells, given in
+    ascending cell order. Returns the echelon of the (q-1)-boundaries,
+    built from the pivots, and, when track is set, a basis of the
+    q-cycles, built from the cell combinations that reduce to zero
+    (else none). Each cycle is keyed by the cell whose column
+    reduced to zero, which is also its largest cell: the combination
+    adds only cells that came before."""
+    ech = _Echelon(fld)
+    pivots = ech.rows
+    combs: Dict[int, Dict[int, object]] = {}
+    cycles: Dict[int, Dict[int, object]] = {}
+    axpy, neg, one = fld.axpy, fld.neg, fld.one
+    for c, col in cols:
+        vec = dict(col)
+        comb = {c: one}
         while vec:
             p = max(vec)
-            if p not in pivots:
+            row = pivots.get(p)
+            if row is None:
                 inv = fld.inv(vec[p])
-                pivots[p] = (_scaled(vec, inv, fld), _scaled(comb, inv, fld))
+                pivots[p] = _scaled(vec, inv, fld)
+                if track:
+                    combs[p] = _scaled(comb, inv, fld)
                 break
-            pv, pc = pivots[p]
-            s = fld.neg(vec[p])
-            _axpy(vec, s, pv, fld)
-            _axpy(comb, s, pc, fld)
-        if not vec:
-            kernel.append(comb)
-    return kernel
+            s = neg(vec[p])
+            axpy(vec, s, row)
+            if track:
+                axpy(comb, s, combs[p])
+        else:
+            if track:
+                cycles[c] = comb
+    return cycles, ech
 
 
-def _boundary_echelon(S: SComplex, upper_cells: List[int], cell_set,
-                      fld: CoefficientRing, conv) -> _Echelon:
-    """Echelon of the q-boundaries of the subcomplex on cell_set, given
-    its (q+1)-cells sorted as upper_cells."""
-    ech = _Echelon(fld)
-    for c in upper_cells:
-        ech.insert(_restricted_column(S, c, cell_set, fld, conv))
-    return ech
+def _check_arity(grid: Sequence[Grade], grades: Dict[int, Grade]) -> None:
+    if not grid:
+        return
+    n = len(grid[0])
+    for g in (*grid, *grades.values()):
+        if len(g) != n:
+            raise GradeError(f"grades: arity mismatch {len(g)} vs {n}")
+
+
+def _sublevel_buckets(S: SComplex, grades: Dict[int, Grade],
+                      grid: Sequence[Grade], top: int
+                      ) -> Dict[Grade, List[List[int]]]:
+    """For each grid grade, its sublevel cells of each dimension 0..top,
+    each list in ascending cell order. A grade componentwise below alpha
+    is also lexicographically below it, so each bucket is a filtered
+    prefix of one sort per dimension."""
+    by_dim: List[List[Tuple[Grade, int]]] = [[] for _ in range(top + 1)]
+    for c, g in grades.items():
+        d = S.dim(c)
+        if d <= top:
+            by_dim[d].append((g, c))
+    keys = []
+    for pairs in by_dim:
+        pairs.sort()
+        keys.append([g for g, _ in pairs])
+    out: Dict[Grade, List[List[int]]] = {}
+    for alpha in grid:
+        last = alpha[-1]
+        out[alpha] = buckets = []
+        for pairs, ks in zip(by_dim, keys):
+            prefix = pairs[:bisect_right(ks, alpha)]
+            # the first component of a lexicographic prefix is below
+            # alpha's already, so for k <= 2 the last one decides
+            if len(alpha) <= 2:
+                cells = [c for g, c in prefix if g[-1] <= last]
+            else:
+                cells = [c for g, c in prefix if all(map(le, g, alpha))]
+            buckets.append(sorted(cells))
+    return out
 
 
 @dataclass
@@ -166,13 +225,16 @@ class HomologyRanks:
         return self.betti[q] if 0 <= q < len(self.betti) else 0
 
 
-def _integer_torsion(S: SComplex, q: int) -> List[int]:
+def _integer_torsion(S: SComplex, q: int,
+                     upper: Optional[Sequence[int]] = None) -> List[int]:
     """Invariant factors above one of the boundary map from the
-    (q+1)-chains to the q-chains. Unit pivots are eliminated sparsely,
-    column by column; the residue, which has no unit entry, goes through
-    a dense Smith form."""
-    cols = {c: {t: int(v) for t, v in S.boundary(c)}
-            for c in S.cells_of_dim(q + 1)}
+    (q+1)-chains to the q-chains; upper restricts it to those (q+1)-cells
+    (a subcomplex's, whose faces it holds). Unit pivots are eliminated
+    sparsely, column by column; the residue, which has no unit entry,
+    goes through a dense Smith form."""
+    if upper is None:
+        upper = S.cells_of_dim(q + 1)
+    cols = {c: {t: int(v) for t, v in S.boundary(c)} for c in upper}
     by_row: Dict[int, set] = {}  # row -> columns that have held it
     for c, col in cols.items():
         for t in col:
@@ -242,18 +304,16 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     top = S.max_dim
     if top < 0:
         return HomologyRanks([], [] if with_torsion else None)
+    columns = _Columns(S, fld, conv)
     all_cells = set(S.cells())
-    by_dim = _by_dim(S, all_cells)
-    betti: List[int] = []
-    torsion: Optional[List[List[int]]] = [] if with_torsion else None
-    for q in range(top + 1):
-        cycles = len(_cycle_basis(S, by_dim.get(q, []), all_cells, fld,
-                                  conv))
-        borders = _boundary_echelon(S, by_dim.get(q + 1, []), all_cells,
-                                    fld, conv).rank
-        betti.append(cycles - borders)
-        if with_torsion:
-            torsion.append(_integer_torsion(S, q))
+    by_dim = [S.cells_of_dim(q) for q in range(top + 2)]
+    # ranks[q] is the rank of the boundary map out of the q-chains
+    ranks = [_eliminate(columns.of(cells, all_cells), fld, False)[1].rank
+             for cells in by_dim]
+    betti = [len(by_dim[q]) - ranks[q] - ranks[q + 1]
+             for q in range(top + 1)]
+    torsion = ([_integer_torsion(S, q) for q in range(top + 1)]
+               if with_torsion else None)
     return HomologyRanks(betti, torsion)
 
 
@@ -263,14 +323,8 @@ def persistent_rank(S: SComplex, grades: Dict[int, Grade], alpha: Grade,
     """Rank of H_q(sublevel at alpha) -> H_q(sublevel at beta)."""
     if not leq(alpha, beta):
         raise OracleError(f"oracle: grades {alpha} and {beta} are not ordered")
-    fld, conv = _field_view(S, field)
-    cells_a = sublevel_cells(grades, alpha)
-    cells_b = sublevel_cells(grades, beta)
-    cycles = _cycle_basis(S, _by_dim(S, cells_a).get(q, []), cells_a, fld,
-                          conv)
-    base = _boundary_echelon(S, _by_dim(S, cells_b).get(q + 1, []), cells_b,
-                             fld, conv)
-    return _independent_count(cycles, base, fld)
+    table = rank_table(S, grades, field, q, [alpha, beta])
+    return table.get((q, alpha, beta), 0)
 
 
 def _thin(grid: List[Grade], max_grades: Optional[int]) -> List[Grade]:
@@ -298,35 +352,49 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     dimension up to q_max. The default grid is the complex's distinct
     entry grades; max_grades thins it to evenly spaced picks.
 
-    Each grid grade's sublevel set is computed and bucketed by dimension
-    once; cycle bases are cached per (alpha, q) and boundary echelons
-    per (beta, q), so each is eliminated once however many pairs read
-    it."""
+    Each grid grade alpha costs one elimination per dimension, which
+    gives both its cycles and its boundaries; cycles that complete its
+    own boundaries B_q(alpha) to a basis of its cycles are its homology
+    representatives. As B_q(alpha) lies in B_q(beta) for alpha <= beta,
+    the rank of H_q(alpha) -> H_q(beta) counts the representatives of
+    alpha that stay independent modulo B_q(beta)."""
     fld, conv = _field_view(S, field)
     if grid is None:
         grid = critical_grades(grades)
     grid = _thin(sorted(set(grid)), max_grades)
     q_hi = S.max_dim if q_max is None else q_max
-    sublevels = {g: sublevel_cells(grades, g) for g in grid}
-    buckets = {g: _by_dim(S, cells) for g, cells in sublevels.items()}
-    cycles: Dict[Tuple[Grade, int], List[Dict[int, object]]] = {}
+    _check_arity(grid, grades)
+    buckets = _sublevel_buckets(S, grades, grid, q_hi + 1)
+    columns = _Columns(S, fld, conv)
     borders: Dict[Tuple[Grade, int], _Echelon] = {}
+    reps: Dict[Tuple[Grade, int], List[Dict[int, object]]] = {}
+    for alpha in grid:
+        below: Set[int] = set()
+        cycles: Dict[int, Dict[int, object]] = {}
+        for q, cells in enumerate(buckets[alpha]):
+            lower_cycles = cycles
+            # cycles are needed up to q_hi; the level above gives the
+            # boundaries of q_hi only
+            cycles, ech = _eliminate(columns.of(cells, below), fld,
+                                     q <= q_hi)
+            below = set(cells)
+            if q == 0:
+                continue
+            borders[alpha, q - 1] = ech
+            # the cycles have distinct largest cells and the boundary
+            # rows distinct pivots, all among those cells, so the cycles
+            # whose largest cell is no pivot complete the boundaries to
+            # a basis of all cycles
+            reps[alpha, q - 1] = [z for c, z in lower_cycles.items()
+                                  if c not in ech.rows]
     table: Dict[Tuple[int, Grade, Grade], int] = {}
     for alpha in grid:
         for beta in grid:
             if not leq(alpha, beta):
                 continue
             for q in range(q_hi + 1):
-                if (alpha, q) not in cycles:
-                    cycles[alpha, q] = _cycle_basis(
-                        S, buckets[alpha].get(q, []), sublevels[alpha],
-                        fld, conv)
-                if (beta, q) not in borders:
-                    borders[beta, q] = _boundary_echelon(
-                        S, buckets[beta].get(q + 1, []), sublevels[beta],
-                        fld, conv)
                 table[q, alpha, beta] = _independent_count(
-                    cycles[alpha, q], borders[beta, q], fld)
+                    reps[alpha, q], borders[beta, q], fld)
     return table
 
 
@@ -337,7 +405,9 @@ def _grade_text(g: Grade) -> str:
 @dataclass
 class EquivalenceReport:
     """Side-by-side persistent ranks of an original complex and its
-    reduction over a shared grade grid."""
+    reduction over a shared grade grid; over the integers also the
+    torsion of both sublevel complexes at each grid grade, as
+    (q, grade, original's, reduction's) where the two differ."""
 
     ok: bool
     q_max: int
@@ -345,6 +415,7 @@ class EquivalenceReport:
     ranks_original: Dict[Tuple[int, Grade, Grade], int]
     ranks_reduced: Dict[Tuple[int, Grade, Grade], int]
     mismatches: List[Tuple[int, Grade, Grade]]
+    torsion_mismatches: Sequence[Tuple[int, Grade, List[int], List[int]]] = ()
 
     def lines(self) -> List[str]:
         flagged = set(self.mismatches)
@@ -356,14 +427,36 @@ class EquivalenceReport:
             if key in flagged:
                 text += f" != {self.ranks_reduced[key]} MISMATCH"
             out.append(text)
+        for q, alpha, t_orig, t_red in self.torsion_mismatches:
+            out.append(f"TORSION {q} {_grade_text(alpha)} {t_orig} != "
+                       f"{t_red} MISMATCH")
         return out
 
     def summary(self) -> str:
         checked = len(self.ranks_original)
         if self.ok:
             return f"PASS checked={checked} grades={len(self.grid)}"
-        return (f"FAIL mismatches={len(self.mismatches)} "
+        bad = len(self.mismatches) + len(self.torsion_mismatches)
+        return (f"FAIL mismatches={bad} "
                 f"checked={checked} grades={len(self.grid)}")
+
+
+def _torsion_mismatches(S: SComplex, grades_s: Dict[int, Grade],
+                        reduced: SComplex, grades_r: Dict[int, Grade],
+                        grid: Sequence[Grade], q_hi: int
+                        ) -> List[Tuple[int, Grade, List[int], List[int]]]:
+    """Where the integer torsion of the two sublevel complexes differs,
+    by dimension and then grid grade."""
+    b_orig = _sublevel_buckets(S, grades_s, grid, q_hi + 1)
+    b_red = _sublevel_buckets(reduced, grades_r, grid, q_hi + 1)
+    out = []
+    for q in range(q_hi + 1):
+        for alpha in grid:
+            t_orig = _integer_torsion(S, q, b_orig[alpha][q + 1])
+            t_red = _integer_torsion(reduced, q, b_red[alpha][q + 1])
+            if t_orig != t_red:
+                out.append((q, alpha, t_orig, t_red))
+    return out
 
 
 def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
@@ -373,12 +466,18 @@ def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
                        max_grades: Optional[int] = None
                        ) -> EquivalenceReport:
     """Compare persistent ranks of a complex and its reduction on the
-    grid of the original's entry grades. Both tables are computed
-    independently from boundary matrices."""
+    grid of the original's entry grades, and when both are over the
+    integers also the torsion of their sublevel complexes at each grid
+    grade. Both sides are computed independently from boundary
+    matrices."""
     grid = _thin(critical_grades(grades_s), max_grades)
     q_hi = max(S.max_dim, reduced.max_dim, 0) if q_max is None else q_max
     t_orig = rank_table(S, grades_s, field, q_hi, grid)
     t_red = rank_table(reduced, grades_r, field, q_hi, grid)
     mismatches = [k for k in sorted(t_orig) if t_red.get(k) != t_orig[k]]
-    return EquivalenceReport(not mismatches, q_hi, list(grid),
-                             t_orig, t_red, mismatches)
+    torsion: List[Tuple[int, Grade, List[int], List[int]]] = []
+    if isinstance(S.ring, Integers) and isinstance(reduced.ring, Integers):
+        torsion = _torsion_mismatches(S, grades_s, reduced, grades_r, grid,
+                                      q_hi)
+    return EquivalenceReport(not mismatches and not torsion, q_hi,
+                             list(grid), t_orig, t_red, mismatches, torsion)

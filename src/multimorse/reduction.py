@@ -29,17 +29,6 @@ class ReductionError(ValueError):
     incidence coefficient is not a unit)."""
 
 
-def _axpy(target: Dict[int, object], c, source: Dict[int, object],
-          ring: CoefficientRing) -> None:
-    """target += c * source, dropping entries that cancel to zero."""
-    for k, v in source.items():
-        nv = ring.add(target.get(k, ring.zero), ring.mul(c, v))
-        if nv == ring.zero:
-            target.pop(k, None)
-        else:
-            target[k] = nv
-
-
 @dataclass
 class ChainMap:
     """Sparse linear map given by columns for the generators where it
@@ -59,7 +48,7 @@ class ChainMap:
     def apply(self, chain: Dict[int, object]) -> Dict[int, object]:
         out: Dict[int, object] = {}
         for g, c in chain.items():
-            _axpy(out, c, self.image_of(g), self.ring)
+            self.ring.axpy(out, c, self.image_of(g))
         return out
 
 
@@ -165,7 +154,7 @@ def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
     # homotopy first: it needs the projection columns before this step
     for g in hit:
         target = homo.setdefault(g, {})
-        _axpy(target, ring.div(proj[g][sigma], pivot), i_tau, ring)
+        ring.axpy(target, ring.div(proj[g][sigma], pivot), i_tau)
         if not target:
             del homo[g]
     for g in rows.pop(tau):
@@ -186,7 +175,7 @@ def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
                 if row is not None:
                     row.add(g)
     for eta, a in step.sigma_cofaces.items():
-        _axpy(incl[eta], ring.neg(ring.div(a, pivot)), i_tau, ring)
+        ring.axpy(incl[eta], ring.neg(ring.div(a, pivot)), i_tau)
     del incl[sigma]
 
 

@@ -38,6 +38,18 @@ class CoefficientRing:
     def mul(self, a, b):
         return a * b
 
+    def axpy(self, target: dict, c, source: dict) -> None:
+        """target += c * source on sparse vectors (dicts key -> value),
+        in place, dropping the entries that cancel to zero. source must
+        be a different dict from target; it is left unchanged."""
+        get, zero = target.get, self.zero
+        for k, v in source.items():
+            nv = get(k, zero) + c * v
+            if nv:
+                target[k] = nv
+            else:
+                target.pop(k, None)
+
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
@@ -118,6 +130,24 @@ class PrimeField(CoefficientRing):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def axpy(self, target: dict, c, source: dict) -> None:
+        p = self.p
+        if p == 2:  # every nonzero value is 1: c * source toggles keys
+            if c % 2:
+                for k in source:
+                    if k in target:
+                        del target[k]
+                    else:
+                        target[k] = 1
+            return
+        get = target.get
+        for k, v in source.items():
+            nv = (get(k, 0) + c * v) % p
+            if nv:
+                target[k] = nv
+            else:
+                target.pop(k, None)
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0

@@ -9,6 +9,8 @@ from itertools import combinations
 import multimorse as mm
 from multimorse.complexes import ComplexError, SimplicialComplex
 from multimorse.matching import MatchingError
+from multimorse.oracle import OracleError, _thin
+from multimorse.rings import Integers
 
 # -- worked examples ----------------------------------------------------
 
@@ -150,6 +152,189 @@ def assert_step_algebra(pre, post, step):
         dD = boundary_of_chain(pre, D.image_of(g))
         Dd = D.apply(dict(pre.boundary(g)))
         assert defect == chain_add(ring, dD, Dd)
+
+
+# -- persistent ranks ----------------------------------------------------
+#
+# reference_rank_table is the rank oracle as it stood before it eliminated
+# each sublevel set once: it column-reduces the cycles and the boundaries
+# of a sublevel set separately, rebuilds every boundary column at every
+# grade, and pushes all of Z_q(alpha) through every pair (alpha, beta).
+
+def _ref_axpy(target, c, source, fld):
+    for k, v in source.items():
+        nv = fld.add(target.get(k, fld.zero), fld.mul(c, v))
+        if nv == fld.zero:
+            target.pop(k, None)
+        else:
+            target[k] = nv
+
+
+def _ref_scaled(vec, c, fld):
+    return {k: fld.mul(c, v) for k, v in vec.items()}
+
+
+class _RefEchelon:
+    def __init__(self, fld, base=None):
+        self.fld = fld
+        self.rows = {}
+        self.base = base.rows if base is not None else {}
+
+    def insert(self, vec):
+        fld = self.fld
+        vec = dict(vec)
+        while vec:
+            p = max(vec)
+            row = self.rows.get(p) or self.base.get(p)
+            if row is None:
+                self.rows[p] = _ref_scaled(vec, fld.inv(vec[p]), fld)
+                return True
+            _ref_axpy(vec, fld.neg(vec[p]), row, fld)
+        return False
+
+
+def _ref_independent_count(vectors, base, fld):
+    ech = _RefEchelon(fld, base)
+    return sum(ech.insert(v) for v in vectors)
+
+
+def _ref_field_view(S, field):
+    ring = S.ring
+    if field is None:
+        fld = ring if ring.is_field else mm.RATIONALS
+    else:
+        fld = field
+    if not fld.is_field:
+        raise OracleError("oracle: rank computations need field coefficients")
+    if fld == ring:
+        return fld, lambda v: v
+    if isinstance(ring, Integers):
+        return fld, fld.from_int
+    raise OracleError(
+        f"oracle: cannot view {ring.name} coefficients in {fld.name}")
+
+
+def _ref_restricted_column(S, c, cell_set, fld, conv):
+    col = {}
+    for t, v in S.boundary(c):
+        if t not in cell_set:
+            raise OracleError(
+                f"oracle: face {t} of cell {c} missing from sublevel set")
+        w = conv(v)
+        if w != fld.zero:
+            col[t] = w
+    return col
+
+
+def _ref_by_dim(S, cell_set):
+    out = {}
+    for c in sorted(cell_set):
+        out.setdefault(S.dim(c), []).append(c)
+    return out
+
+
+def _ref_cycle_basis(S, q_cells, cell_set, fld, conv):
+    pivots = {}
+    kernel = []
+    for c in q_cells:
+        vec = _ref_restricted_column(S, c, cell_set, fld, conv)
+        comb = {c: fld.one}
+        while vec:
+            p = max(vec)
+            if p not in pivots:
+                inv = fld.inv(vec[p])
+                pivots[p] = (_ref_scaled(vec, inv, fld),
+                             _ref_scaled(comb, inv, fld))
+                break
+            pv, pc = pivots[p]
+            s = fld.neg(vec[p])
+            _ref_axpy(vec, s, pv, fld)
+            _ref_axpy(comb, s, pc, fld)
+        if not vec:
+            kernel.append(comb)
+    return kernel
+
+
+def _ref_boundary_echelon(S, upper_cells, cell_set, fld, conv):
+    ech = _RefEchelon(fld)
+    for c in upper_cells:
+        ech.insert(_ref_restricted_column(S, c, cell_set, fld, conv))
+    return ech
+
+
+def reference_rank_table(S, grades, field=None, q_max=None, grid=None,
+                         max_grades=None):
+    fld, conv = _ref_field_view(S, field)
+    if grid is None:
+        grid = mm.critical_grades(grades)
+    grid = _thin(sorted(set(grid)), max_grades)
+    q_hi = S.max_dim if q_max is None else q_max
+    sublevels = {g: mm.sublevel_cells(grades, g) for g in grid}
+    buckets = {g: _ref_by_dim(S, cells) for g, cells in sublevels.items()}
+    cycles = {}
+    borders = {}
+    table = {}
+    for alpha in grid:
+        for beta in grid:
+            if not mm.leq(alpha, beta):
+                continue
+            for q in range(q_hi + 1):
+                if (alpha, q) not in cycles:
+                    cycles[alpha, q] = _ref_cycle_basis(
+                        S, buckets[alpha].get(q, []), sublevels[alpha],
+                        fld, conv)
+                if (beta, q) not in borders:
+                    borders[beta, q] = _ref_boundary_echelon(
+                        S, buckets[beta].get(q + 1, []), sublevels[beta],
+                        fld, conv)
+                table[q, alpha, beta] = _ref_independent_count(
+                    cycles[alpha, q], borders[beta, q], fld)
+    return table
+
+
+def _matrix_rank(columns, fld):
+    """Rank of the matrix with the given sparse columns, by plain
+    Gaussian elimination over a dense copy."""
+    rows = sorted({t for col in columns for t in col})
+    m = [[col.get(t, fld.zero) for t in rows] for col in columns]
+    rank = 0
+    for j in range(len(rows)):
+        i = next((i for i in range(rank, len(m)) if m[i][j] != fld.zero),
+                 None)
+        if i is None:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        inv = fld.inv(m[rank][j])
+        for r in range(len(m)):
+            if r != rank and m[r][j] != fld.zero:
+                f = fld.mul(m[r][j], inv)
+                m[r] = [fld.sub(a, fld.mul(f, b))
+                        for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def formula_persistent_rank(S, grades, alpha, beta, q, fld):
+    """rank(H_q(alpha) -> H_q(beta)) from matrix ranks alone. With A and
+    B the sublevel sets, Z_q(A) meets B_q(B) in the boundaries that lie
+    in the chains of A, so the rank is
+    n_q(A) - rank d_q(A) - rank d_(q+1)(B) + rank of d_(q+1)(B) restricted
+    to the rows of the q-cells of B outside A."""
+    conv = fld.from_int if isinstance(S.ring, Integers) and fld != S.ring \
+        else (lambda v: v)
+    cells_a = mm.sublevel_cells(grades, alpha)
+    cells_b = mm.sublevel_cells(grades, beta)
+
+    def column(c, keep):
+        return {t: conv(v) for t, v in S.boundary(c)
+                if t in keep and conv(v) != fld.zero}
+
+    q_a = [c for c in cells_a if S.dim(c) == q]
+    up_b = [c for c in cells_b if S.dim(c) == q + 1]
+    outside = {c for c in cells_b if S.dim(c) == q} - cells_a
+    return (len(q_a) - _matrix_rank([column(c, cells_a) for c in q_a], fld)
+            - _matrix_rank([column(c, cells_b) for c in up_b], fld)
+            + _matrix_rank([column(c, outside) for c in up_b], fld))
 
 
 # -- integer torsion ------------------------------------------------------
@@ -367,6 +552,23 @@ def sphere_mesh(levels):
         n = math.sqrt(x * x + y * y + z * z)
         unit.append((x / n, y / n, z / n))
     return mm.Mesh(unit, [tuple(f) for f in faces])
+
+
+def rotated_sphere_mesh(levels, seed):
+    """sphere_mesh(levels) turned by a seeded uniform random rotation
+    (from a unit quaternion), so its abs-xy grades are distinct."""
+    mesh = sphere_mesh(levels)
+    rng = random.Random(seed)
+    u1, u2, u3 = rng.random(), rng.random(), rng.random()
+    a, b = math.sqrt(1 - u1), math.sqrt(u1)
+    w, x = a * math.sin(2 * math.pi * u2), a * math.cos(2 * math.pi * u2)
+    y, z = b * math.sin(2 * math.pi * u3), b * math.cos(2 * math.pi * u3)
+    rot = [[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+           [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+           [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]]
+    vertices = [tuple(r[0] * p + r[1] * q + r[2] * s for r in rot)
+                for p, q, s in mesh.vertices]
+    return mm.Mesh(vertices, mesh.faces)
 
 
 def grid_torus_faces(n):

@@ -166,6 +166,45 @@ def test_face_closure_guard():
     grades[3] = (0.0, 0.0)  # edge now enters before its vertex 1
     with pytest.raises(OracleError):
         mm.persistent_rank(S, grades, (0.0, 0.0), (0.0, 0.0), 0)
+    with pytest.raises(OracleError):
+        mm.rank_table(S, grades)
+    # Edge 3 = (0, 1) at (0, 0), vertex 1 at (0, 2): the first grid grade
+    # holds both, so the edge's column is cached there; the second holds
+    # the edge without vertex 1, and the cached column must still be
+    # checked against it.
+    grades = {0: (0.0, 0.0), 1: (0.0, 2.0), 2: (0.0, 0.0),
+              3: (0.0, 0.0), 4: (0.0, 0.0), 5: (0.0, 2.0)}
+    first, second = (0.0, 2.0), (1.0, 1.0)
+    assert mm.rank_table(S, grades, grid=[first])
+    with pytest.raises(OracleError, match="face 1 of cell 3"):
+        mm.rank_table(S, grades, grid=[first, second])
+    with pytest.raises(OracleError):
+        mm.verify_equivalence(S, grades, S, grades)
+
+
+def test_verify_over_z_compares_torsion():
+    S = mm.build_simplicial(6, [list(f) for f in PROJECTIVE_PLANE_FACES],
+                            mm.INTEGERS)
+    grades = {c: (0.0,) for c in S.cells()}
+    point = mm.build_simplicial(1, [], mm.INTEGERS)
+    # over Q both are a point; over z the plane has torsion [2] in H_1
+    report = mm.verify_equivalence(S, grades, point, {0: (0.0,)})
+    assert not report.ok
+    assert report.mismatches == []
+    assert report.summary() == "FAIL mismatches=1 checked=3 grades=1"
+    assert report.lines() == ["RANK 0 0.0 0.0 1", "RANK 1 0.0 0.0 0",
+                              "RANK 2 0.0 0.0 0",
+                              "TORSION 1 0.0 [2] != [] MISMATCH"]
+    # a Morse reduction pairs cells with unit incidence: it keeps torsion
+    for seed in range(4):
+        f = helpers.random_grades(seed, 6, levels=3)
+        grades = mm.entry_grades(S, f)
+        result = mm.reduce_all(S, mm.partition(S, f, mm.lex_indexing(f)),
+                               grades=grades)
+        report = mm.verify_equivalence(S, grades, result.complex,
+                                       result.grades)
+        assert report.ok, seed
+        assert all(line.startswith("RANK ") for line in report.lines())
 
 
 def test_grid_thinning():
@@ -203,15 +242,82 @@ def test_report_flags_exactly_the_mismatched_lines():
 
 
 def test_rank_table_agrees_with_persistent_rank():
-    # rank_table shares its per-grade buckets across pairs; persistent_rank
-    # recomputes each entry from scratch
+    # both against the matrix-rank formula of the helpers, which shares
+    # no elimination code with the oracle
+    fld = mm.get_ring("z5")
     for seed in range(3):
-        S = helpers.random_complex(seed, ring=mm.get_ring("z5"))
+        S = helpers.random_complex(seed, ring=fld)
         grades = mm.entry_grades(S, helpers.random_grades(seed, 12, levels=3))
         table = mm.rank_table(S, grades)
         assert table
         for (q, alpha, beta), r in table.items():
-            assert mm.persistent_rank(S, grades, alpha, beta, q) == r
+            want = helpers.formula_persistent_rank(S, grades, alpha, beta,
+                                                   q, fld)
+            assert r == want
+            assert mm.persistent_rank(S, grades, alpha, beta, q) == want
+
+
+def _random_case_grades(rng, n, k, tied):
+    if tied:
+        return mm.MeasuringFunction(
+            [tuple(float(rng.randint(0, 2)) for _ in range(k))
+             for _ in range(n)])
+    return mm.MeasuringFunction(
+        [tuple(rng.random() for _ in range(k)) for _ in range(n)])
+
+
+def test_rank_table_matches_reference():
+    # the reference eliminates cycles and boundaries apart and pushes all
+    # of Z_q(alpha) through every pair
+    rings = [mm.GF2, mm.get_ring("z5"), mm.RATIONALS, mm.INTEGERS]
+    rng = random.Random(23)
+    for seed in range(36):
+        ring = rings[seed % 4]
+        k = 1 + seed % 3
+        tied = seed % 2 == 0
+        q_max = (None, 0, 1)[seed // 4 % 3]
+        S = helpers.random_complex(seed, n_top=16, ring=ring)
+        grades = mm.entry_grades(S, _random_case_grades(rng, 12, k, tied))
+        grid, max_grades = None, None
+        if seed // 12 == 1:
+            max_grades = 5
+        elif seed // 12 == 2:
+            # a subset of the entry grades plus grades no cell has
+            entries = mm.critical_grades(grades)
+            grid = rng.sample(entries, min(4, len(entries)))
+            grid.append(tuple(max(g[i] for g in entries) for i in range(k)))
+            grid.append(tuple(rng.random() for _ in range(k)))
+        table = mm.rank_table(S, grades, q_max=q_max, grid=grid,
+                              max_grades=max_grades)
+        assert table
+        assert table == helpers.reference_rank_table(
+            S, grades, q_max=q_max, grid=grid, max_grades=max_grades), seed
+
+
+def test_rank_table_matches_reference_over_a_viewing_field():
+    # integer incidences 2 and 3 vanish over z2 and z3: the converted
+    # columns drop them, the face check still sees them
+    rng = random.Random(4)
+    for _ in range(12):
+        m = [[rng.choice([0, 1, -1, 2, 3, -2]) for _ in range(3)]
+             for _ in range(3)]
+        S = helpers.wedge_with_cells(m)
+        grades = {0: (0.0, 0.0)}
+        for c in S.cells_of_dim(1):
+            grades[c] = (float(rng.randint(0, 2)), float(rng.randint(0, 2)))
+        for c in S.cells_of_dim(2):
+            below = [grades[t] for t, _ in S.boundary(c)] + [(0.0, 0.0)]
+            grades[c] = tuple(max(g[i] for g in below) + rng.randint(0, 1)
+                              for i in range(2))
+        for field in (None, mm.GF2, mm.get_ring("z3"), mm.RATIONALS):
+            assert mm.rank_table(S, grades, field) == \
+                helpers.reference_rank_table(S, grades, field), (m, field)
+    # a disk on a loop of degree 2, entering before the loop: its z2
+    # column is empty, yet the loop is a face missing from the sublevel set
+    S = helpers.wedge_with_cells([[2]])
+    grades = {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (0.0, 0.0)}
+    with pytest.raises(OracleError, match="face 1 of cell 2"):
+        mm.rank_table(S, grades, mm.GF2)
 
 
 def test_torsion_matches_determinantal_divisors():
@@ -286,3 +392,35 @@ def test_integer_homology_needs_only_the_standard_library(monkeypatch):
         patch.setattr(builtins, "__import__", stdlib_only)
         ranks = mm.homology(S, mm.INTEGERS)
     assert ranks.torsion == [[], [2], []]
+
+
+def test_rank_table_cost_against_reference():
+    # the verify-sampled workload's oracle calls: 20 star samples of a
+    # rotated L=4 sphere over z2, each original and reduced, on the
+    # thinned grid verify uses
+    mesh = helpers.rotated_sphere_mesh(4, 3)
+    S = mm.mesh_complex(mesh)
+    f = mm.preset_abs_xy(mesh)
+    index = mm.lex_indexing(f)
+    work = []
+    for _, sub in mm.sample_star_submeshes(S, 20, 400, 3):
+        grades = mm.entry_grades(sub, f)
+        red = mm.reduce_all(sub, mm.partition(sub, f, index), grades=grades)
+        grid = _thin(mm.critical_grades(grades), 10)
+        q_hi = max(sub.max_dim, red.complex.max_dim, 0)
+        work.append((sub, grades, grid, q_hi))
+        work.append((red.complex, red.grades, grid, q_hi))
+
+    def run(table_fn):
+        t0 = time.perf_counter()
+        tables = [table_fn(C, g, None, q, grid) for C, g, grid, q in work]
+        return time.perf_counter() - t0, tables
+
+    best_new = best_ref = float("inf")
+    for _ in range(3):
+        t_new, new = run(mm.rank_table)
+        t_ref, ref = run(helpers.reference_rank_table)
+        best_new, best_ref = min(best_new, t_new), min(best_ref, t_ref)
+    assert new == ref
+    assert best_new <= 0.6 * best_ref, \
+        f"rank_table {best_new:.3f} s, reference {best_ref:.3f} s"

@@ -109,3 +109,63 @@ def test_modulus_beyond_exact_limit_refused():
         mm.PrimeField(_MR_LIMIT)
     with pytest.raises(RingError, match="too large"):
         mm.get_ring(f"z{2**89 - 1}")
+
+
+def _axpy_by_definition(ring, target, c, source):
+    """target + c * source through the ring's add and mul, zeros dropped."""
+    out = dict(target)
+    for k, v in source.items():
+        out[k] = ring.add(out.get(k, ring.zero), ring.mul(c, v))
+    return {k: v for k, v in out.items() if v != ring.zero}
+
+
+def test_axpy_matches_add_and_mul():
+    import random
+    rng = random.Random(5)
+    rings = [mm.GF2, mm.get_ring("z5"), mm.RATIONALS, mm.INTEGERS]
+    for ring in rings:
+        def value():
+            n = rng.choice([-3, -2, -1, 1, 2, 3])
+            if ring == mm.RATIONALS:
+                return Fraction(n, rng.choice([1, 2, 3]))
+            return ring.from_int(n)
+
+        cancels = 0
+        for _ in range(200):
+            target = {k: value() for k in rng.sample(range(8), 4)}
+            target = {k: v for k, v in target.items() if v != ring.zero}
+            source = {k: value() for k in rng.sample(range(8), 4)}
+            source = {k: v for k, v in source.items() if v != ring.zero}
+            c = value()
+            if rng.random() < 0.5 and source and c != ring.zero:
+                # make one entry cancel: target[k] = -c * source[k]
+                k = next(iter(source))
+                target[k] = ring.neg(ring.mul(c, source[k]))
+            want = _axpy_by_definition(ring, target, c, source)
+            before = dict(source)
+            got = dict(target)
+            ring.axpy(got, c, source)
+            assert got == want, (ring, target, c, source)
+            assert all(v != ring.zero for v in got.values())
+            assert source == before  # source is a separate, unchanged dict
+            cancels += any(k in target and k not in got for k in source)
+        assert cancels >= 50, ring
+
+
+def test_axpy_drops_cancelled_keys_and_ignores_zero_scale():
+    for ring in (mm.GF2, mm.get_ring("z5"), mm.RATIONALS, mm.INTEGERS):
+        one = ring.one
+        target = {0: one, 1: one}
+        ring.axpy(target, ring.neg(one), {1: one, 2: one})
+        assert target == {0: one, 2: ring.neg(one)}
+        assert 1 not in target
+        target = {0: one}
+        ring.axpy(target, ring.zero, {0: one, 3: one})
+        assert target == {0: one}
+    # over z2 an even scale is zero: nothing toggles
+    target = {0: 1}
+    mm.GF2.axpy(target, 2, {0: 1, 5: 1})
+    assert target == {0: 1}
+    target = {0: 1}
+    mm.GF2.axpy(target, 3, {0: 1, 5: 1})
+    assert target == {5: 1}
