@@ -13,10 +13,10 @@ from .complexes import (ComplexError, SComplex, SimplicialComplex,
 from .filtration import (Grade, GradeError, MeasuringFunction, cell_grade,
                          check_face_monotone, critical_grades, entry_grades,
                          join, le_neq, leq, lt, sublevel_cells)
-from .indexing import (ComparabilityDag, CycleError, build_dag, lex_indexing,
+from .indexing import (ComparabilityDag, build_dag, lex_indexing,
                        topo_sort_kahn, validate_indexing)
-from .matching import (LowerLink, MatchPartition, MatchingError, is_acyclic,
-                       lower_link, max_index, modified_hasse, partition)
+from .matching import (MatchPartition, MatchingError, is_acyclic, max_index,
+                       modified_hasse, partition)
 from .meshio import (Mesh, MeshFormatError, mesh_complex, preset_abs_xy,
                      read_mesh, read_reduced, read_values, write_reduced)
 from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,

@@ -29,19 +29,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("mesh_path", metavar="mesh",
                         help="input mesh file (.off or .obj)")
-    source = common.add_mutually_exclusive_group()
-    source.add_argument("--preset", choices=["abs-xy"], default="abs-xy",
-                        help="measuring function from coordinates "
-                             "(default: abs-xy)")
-    source.add_argument("--values", dest="values_path", metavar="FILE",
+    common.add_argument("--values", dest="values_path", metavar="FILE",
                         default=None,
-                        help="per-vertex grades file, one line per vertex")
+                        help="per-vertex grades file, one line per vertex "
+                             "(default: grades (|x|, |y|) from coordinates)")
     common.add_argument("--variant", choices=["strict", "weak"],
                         default="strict", help="lower-link variant")
     common.add_argument("--indexing", choices=["lex", "kahn"], default="lex",
                         help="vertex indexing construction")
-    common.add_argument("--order", choices=["generation", "dim-desc"],
-                        default="generation", help="pair reduction order")
     common.add_argument("--ring", dest="ring_name", default="z2",
                         metavar="RING",
                         help="coefficient ring: z2, q, z, or zp (default z2)")

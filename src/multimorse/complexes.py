@@ -51,10 +51,12 @@ class SComplex:
     def set_incidence(self, s: int, t: int, value) -> None:
         """Set the coefficient between cell s and its primary face t.
 
-        A zero value erases the entry. The dimension rule (nonzero
+        The value is first normalized into the ring (2 is zero over z2),
+        and a zero value erases the entry. The dimension rule (nonzero
         coefficients only one dimension apart) is enforced here.
         """
         ds, dt = self.dim(s), self.dim(t)
+        value = self.ring.from_int(value)
         if value == self.ring.zero:
             self._faces[s].pop(t, None)
             self._cofaces[t].pop(s, None)

@@ -4,10 +4,10 @@ An indexing is a bijection from vertices to 0..n-1 that increases along
 the strict-but-unequal comparisons of the measuring function: whenever
 f(u) <= f(w) componentwise with f(u) != f(w), vertex u gets the smaller
 index. Two constructions are provided: a lexicographic sort (the default,
-n log n) and Kahn's algorithm on the comparability digraph (linear in
-vertices plus comparable pairs, and reusable for any DAG). The digraph
-and the validity check compare the d distinct grades pairwise rather than
-the n vertices, so they cost O(d^2 + edges) and O(d^2 + n log n).
+n log n) and Kahn's algorithm on the comparability digraph. Vertices of
+one grade have the same predecessors and successors there, so the
+digraph is kept as its d grade classes and never lists a vertex pair;
+it and the validity check cost O(d^2 + n log n).
 """
 
 from __future__ import annotations
@@ -17,25 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .filtration import Grade, MeasuringFunction, le_neq
-
-
-class CycleError(ValueError):
-    """Raised when a supposed DAG contains a directed cycle."""
-
-
-@dataclass
-class ComparabilityDag:
-    """Successor lists of a digraph on nodes 0..n-1."""
-
-    succ: List[List[int]]
-
-    @property
-    def n(self) -> int:
-        return len(self.succ)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.succ)
 
 
 def _grade_classes(f: MeasuringFunction
@@ -54,52 +35,71 @@ def _grade_classes(f: MeasuringFunction
     return members, above
 
 
+@dataclass
+class ComparabilityDag:
+    """Comparability digraph of a measuring function on its grade
+    classes: an edge u -> w for every vertex u of members[i] and w of
+    members[j] whenever j is in above[i]."""
+
+    members: List[List[int]]
+    above: List[List[int]]
+
+    @property
+    def edge_count(self) -> int:
+        """Comparable vertex pairs, counted without listing them."""
+        sizes = [len(cls) for cls in self.members]
+        return sum(size * sum(sizes[j] for j in greater)
+                   for size, greater in zip(sizes, self.above))
+
+
 def build_dag(f: MeasuringFunction) -> ComparabilityDag:
     """Comparability digraph of f: an edge u -> w whenever f(u) <= f(w)
-    componentwise and f(u) != f(w), successors in ascending order. All
-    vertices of one grade share their successors, so the cost is
-    O(d^2 + edges) for d distinct grades; quadratic when all differ."""
-    succ: List[List[int]] = [[] for _ in range(len(f))]
-    members, above = _grade_classes(f)
-    for cls, greater in zip(members, above):
-        targets = sorted(w for j in greater for w in members[j])
-        for u in cls:
-            succ[u] = list(targets)
-    return ComparabilityDag(succ)
+    componentwise and f(u) != f(w). O(d^2 + n log n) for d distinct
+    grades; quadratic only in d when all grades differ."""
+    return ComparabilityDag(*_grade_classes(f))
 
 
 def topo_sort_kahn(dag: ComparabilityDag) -> List[int]:
-    """Indices from a topological sort of dag, smallest node id first
-    among the ready set. Returns index[node]; raises CycleError when the
-    graph has a cycle."""
-    n = dag.n
-    indeg = [0] * n
-    for u in range(n):
-        for w in dag.succ[u]:
-            indeg[w] += 1
-    ready = [u for u in range(n) if indeg[u] == 0]
+    """Indices from a topological sort of dag, smallest vertex id first
+    among the ready vertices. Returns index[vertex]. A class is released
+    whole once every class below it is placed; a grade order has no
+    cycle, so every vertex gets placed."""
+    members, above = dag.members, dag.above
+    waiting = [0] * len(members)    # classes below, not yet all placed
+    for greater in above:
+        for j in greater:
+            waiting[j] += 1
+    left = [len(cls) for cls in members]
+    class_of = [0] * sum(left)
+    for i, cls in enumerate(members):
+        for v in cls:
+            class_of[v] = i
+    ready = [v for i, cls in enumerate(members) if not waiting[i] for v in cls]
     heapq.heapify(ready)
-    index = [-1] * n
+    index = [0] * len(class_of)
     placed = 0
     while ready:
         u = heapq.heappop(ready)
         index[u] = placed
         placed += 1
-        for w in dag.succ[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if placed != n:
-        raise CycleError(f"indexing: digraph has a cycle ({n - placed} nodes unplaced)")
+        i = class_of[u]
+        left[i] -= 1
+        if left[i]:
+            continue
+        for j in above[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                for w in members[j]:
+                    heapq.heappush(ready, w)
     return index
 
 
 def lex_indexing(f: MeasuringFunction) -> List[int]:
     """Indices from sorting vertices by grade lexicographically, vertex
     id breaking ties."""
-    order = sorted(range(len(f)), key=lambda v: (f[v], v))
+    ranked = sorted(range(len(f)), key=lambda v: (f[v], v))
     index = [0] * len(f)
-    for i, v in enumerate(order):
+    for i, v in enumerate(ranked):
         index[v] = i
     return index
 

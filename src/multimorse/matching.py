@@ -27,22 +27,12 @@ from dataclasses import dataclass
 from operator import le
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex, complex_from_simplices
+from .complexes import SimplicialComplex
 from .filtration import MeasuringFunction
 
 
 class MatchingError(ValueError):
     """Raised for invalid partition inputs or violated invariants."""
-
-
-@dataclass
-class LowerLink:
-    """A lower link as its own simplicial complex, plus the map sending
-    each link cell to the cone cell (link cell joined with the apex
-    vertex) inside the parent complex."""
-
-    complex: SimplicialComplex
-    to_parent: Dict[int, int]
 
 
 @dataclass
@@ -70,7 +60,7 @@ Admission = Callable[[int, int], bool]
 
 
 def _admission(grades: Sequence[Tuple[float, ...]],
-               index: Sequence[int] | None, variant: str) -> Admission:
+               index: Sequence[int], variant: str) -> Admission:
     """admit(u, v): u may lie below v in v's lower link. The grades are
     read directly, so every vertex passed in must have been checked
     against the measuring function first."""
@@ -164,27 +154,6 @@ def _match_vertex(v: int, link: List[Simplex],
             critical.append(_cone(w, v))
     for low, up in sub_matched:
         matched.append((_cone(low, v), _cone(up, v)))
-
-
-def lower_link(S: SimplicialComplex, f: MeasuringFunction,
-               v: int) -> LowerLink:
-    """Strict lower link of vertex v: simplices joined to v all of whose
-    vertices have grade componentwise <= f(v) and different from it,
-    i.e. the cells whose apex is v, with v removed."""
-    v_cell = S.cell_with_verts((v,))
-    admit = _admission(f.grades, None, "strict")
-    member: List[Simplex] = []
-    for rho in S.cofaces_closure(v_cell):
-        w = S.verts[rho]
-        f.check_vertices(w[0], w[-1])
-        if _apex(w, admit) == v:
-            member.append(tuple(u for u in w if u != v))
-    # admitted simplices are closed under faces, so this closure adds nothing
-    link = complex_from_simplices(member, S.ring) if member \
-        else SimplicialComplex(S.ring)
-    to_parent = {lc: S.cell_by_verts[_cone(w, v)]
-                 for lc, w in link.verts.items()}
-    return LowerLink(link, to_parent)
 
 
 def partition(S: SimplicialComplex, f: MeasuringFunction,

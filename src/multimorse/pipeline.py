@@ -44,10 +44,8 @@ class RunConfig:
     command: str
     mesh_path: str
     values_path: Optional[str] = None
-    preset: str = "abs-xy"
     variant: str = "strict"
     indexing: str = "lex"
-    order: str = "generation"
     ring_name: str = "z2"
     q_max: Optional[int] = None
     max_cells: int = 2000
@@ -57,8 +55,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in ("sort", "match", "reduce", "verify", "stats"):
             raise PipelineError(f"run: unknown command {self.command!r}")
-        if self.preset != "abs-xy":
-            raise PipelineError(f"run: unknown preset {self.preset!r}")
         if self.indexing not in ("lex", "kahn"):
             raise PipelineError(f"run: unknown indexing {self.indexing!r}")
         if self.max_cells < 0:
@@ -172,13 +168,13 @@ def sample_star_submeshes(S: SimplicialComplex, count: int,
 
 
 def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
-                index: List[int], config: RunConfig,
-                max_grades: Optional[int]):
+                index: List[int], config: RunConfig):
     grades = entry_grades(S, f)
     P = partition(S, f, index, config.variant)
-    result = reduce_all(S, P, grades=grades, order=config.order)
+    result = reduce_all(S, P, grades=grades)
     return verify_equivalence(S, grades, result.complex, result.grades,
-                              q_max=config.q_max, max_grades=max_grades)
+                              q_max=config.q_max,
+                              max_grades=VERIFY_GRID_LIMIT)
 
 
 def run_verification(S: SimplicialComplex, f: MeasuringFunction,
@@ -189,7 +185,7 @@ def run_verification(S: SimplicialComplex, f: MeasuringFunction,
     report; returns 0 on PASS, 2 on any mismatch."""
     index = make_index(config, f)
     if len(S) <= config.max_cells:
-        report = _verify_one(S, f, index, config, VERIFY_GRID_LIMIT)
+        report = _verify_one(S, f, index, config)
         for line in report.lines():
             print(line)
         print(report.summary())
@@ -198,7 +194,7 @@ def run_verification(S: SimplicialComplex, f: MeasuringFunction,
     samples = sample_star_submeshes(S, SAMPLE_COUNT, cell_limit, config.seed)
     all_ok = True
     for i, (center, sub) in enumerate(samples):
-        report = _verify_one(sub, f, index, config, VERIFY_GRID_LIMIT)
+        report = _verify_one(sub, f, index, config)
         all_ok = all_ok and report.ok
         print(f"SAMPLE {i} center={center} cells={len(sub)} "
               f"{report.summary()}")
@@ -239,8 +235,7 @@ def run(config: RunConfig) -> int:
 
     if config.command == "sort":
         index = make_index(config, f)
-        order = sorted(range(len(f)), key=index.__getitem__)
-        for v in order:
+        for v in sorted(range(len(f)), key=index.__getitem__):
             text = " ".join(str(x) for x in f[v])
             print(f"{index[v]} {v} {text}")
         return 0
@@ -258,7 +253,7 @@ def run(config: RunConfig) -> int:
         return 0 if acyclic else 2
 
     grades = entry_grades(S, f)
-    result = reduce_all(S, P, grades=grades, order=config.order)
+    result = reduce_all(S, P, grades=grades)
     print(stats_table(S, result.complex))
     if config.out:
         write_reduced(config.out, result.complex, result.grades, f.k)

@@ -188,21 +188,14 @@ class ReductionResult:
 
 def reduce_all(S: SComplex, matching: MatchPartition,
                grades: Optional[Dict[int, Grade]] = None,
-               order: str = "generation",
                with_maps: bool = False) -> ReductionResult:
-    """Reduce every matched pair of the matching.
-
-    order selects the pair enumeration: "generation" keeps the order the
-    matching emitted, "dim-desc" sorts by dimension of the lower cell,
-    highest first (stable within a dimension). The target complex and the
-    final critical counts are the same either way. S and grades are
-    copied (S as a bare cell complex) and left unchanged.
+    """Reduce every matched pair of the matching, in the order the
+    matching emitted them. The matching is acyclic, so no elimination
+    changes the pivot of a pair still to come, and any order gives the
+    same result. S and grades are copied (S as a bare cell complex) and
+    left unchanged.
     """
-    if order not in ("generation", "dim-desc"):
-        raise ReductionError(f"reduction: unknown order {order!r}")
     pairs: List[Tuple[int, int]] = matching.pairs()
-    if order == "dim-desc":
-        pairs.sort(key=lambda p: -S.dim(p[0]))
     S = S.plain_copy() if isinstance(S, SimplicialComplex) else S.copy()
     grades = dict(grades) if grades is not None else None
     maps = None

@@ -499,12 +499,6 @@ def _reference_partition_core(S, f, index, variant):
     return matched, critical
 
 
-def reference_lower_link(S, f, v):
-    """(link complex, to_parent) of the strict lower link of vertex v."""
-    return _reference_link_of(S, v, S.cell_with_verts((v,)),
-                              _reference_admission(f, None, "strict"))
-
-
 def reference_partition(S, f, index, variant="strict"):
     """(matched, critical) of the per-vertex recursion; S, f and index
     must already be valid partition inputs."""

@@ -102,11 +102,14 @@ def test_reduce_then_verify(tmp_path, capsys):
 
 
 def test_reduce_has_no_verify_flag(tmp_path, capsys):
+    # removed flags are argparse errors
     mesh = _mesh_file(tmp_path, TRIANGLE)
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", mesh, "--verify"])
-    assert exc.value.code == 2
-    assert "--verify" in capsys.readouterr().err
+    for extra in (["--verify"], ["--order", "dim-desc"],
+                  ["--preset", "abs-xy"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", mesh] + extra)
+        assert exc.value.code == 2
+        assert extra[0] in capsys.readouterr().err
 
 
 def test_preset_default_on_octahedron(tmp_path, capsys):
@@ -121,8 +124,7 @@ def test_option_matrix(tmp_path, capsys):
     mesh = _mesh_file(tmp_path, mm.Mesh(helpers.OCTAHEDRON_VERTICES,
                                         helpers.OCTAHEDRON_FACES))
     for extra in (["--variant", "weak"], ["--indexing", "kahn"],
-                  ["--order", "dim-desc"], ["--ring", "q"], ["--ring", "z"],
-                  ["--ring", "z5"]):
+                  ["--ring", "q"], ["--ring", "z"], ["--ring", "z5"]):
         assert main(["verify", mesh] + extra) == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -179,15 +181,6 @@ def test_input_errors(tmp_path, capsys):
 
     assert main(["verify", mesh, "--qmax", "-3"]) == 1
     assert "--qmax" in capsys.readouterr().err
-
-
-def test_preset_and_values_conflict(tmp_path, capsys):
-    mesh = _mesh_file(tmp_path, TRIANGLE)
-    values = _values_file(tmp_path, helpers.FULL_TRIANGLE_GRADES)
-    with pytest.raises(SystemExit) as exc:
-        main(["match", mesh, "--preset", "abs-xy", "--values", values])
-    assert exc.value.code == 2
-    capsys.readouterr()
 
 
 def test_parser_requires_command():

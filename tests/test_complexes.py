@@ -144,6 +144,29 @@ def test_incidence_dimension_rule():
     assert S.primary_faces(e) == set()
 
 
+def test_set_incidence_normalizes_into_the_ring():
+    # over z2 an incidence of 2 is zero: the edge is a cycle on its own
+    S = mm.SComplex(mm.GF2)
+    v = S.add_cell(0)
+    e = S.add_cell(1)
+    S.set_incidence(e, v, 2)
+    assert dict(S.boundary(e)) == {}
+    assert dict(S.coboundary(v)) == {}
+    assert mm.homology(S).betti == [1, 1]
+    S.set_incidence(e, v, 3)
+    assert dict(S.boundary(e)) == {v: 1}
+    assert mm.homology(S).betti == [0, 0]
+    # over z5 a 7 is stored as 2, on both sides
+    F = mm.SComplex(mm.PrimeField(5))
+    v = F.add_cell(0)
+    e = F.add_cell(1)
+    F.set_incidence(e, v, 7)
+    assert F.incidence(e, v) == 2
+    assert dict(F.coboundary(v)) == {e: 2}
+    F.set_incidence(e, v, -1)
+    assert F.incidence(e, v) == 4
+
+
 def test_validate_catches_broken_dd():
     S = mm.SComplex(mm.INTEGERS)
     v = S.add_cell(0)

@@ -15,34 +15,6 @@ def _index(f):
     return mm.lex_indexing(f)
 
 
-def test_lower_link_single_edge():
-    S = helpers.single_edge()
-    f = helpers.grades_of(helpers.EDGE_GRADES)
-    link_b = mm.lower_link(S, f, 1)
-    assert sorted(link_b.complex.verts.values()) == [(0,)]
-    lc = next(iter(link_b.complex.verts))
-    assert link_b.to_parent[lc] == S.cell_with_verts((0, 1))
-    assert len(mm.lower_link(S, f, 0).complex) == 0
-
-
-def test_lower_link_triangle_boundary():
-    S = helpers.triangle_boundary()
-    f = helpers.grades_of(helpers.TRIANGLE_BOUNDARY_GRADES)
-    assert sorted(mm.lower_link(S, f, 1).complex.verts.values()) == [(0,)]
-    assert sorted(mm.lower_link(S, f, 2).complex.verts.values()) == [(0,)]
-    assert len(mm.lower_link(S, f, 0).complex) == 0
-
-
-def test_lower_link_is_a_complex():
-    S = helpers.full_triangle()
-    f = helpers.grades_of(helpers.FULL_TRIANGLE_GRADES)
-    link = mm.lower_link(S, f, 2)
-    assert set(link.complex.verts.values()) == {(0,), (1,), (0, 1)}
-    link.complex.validate()
-    edge = link.complex.cell_with_verts((0, 1))
-    assert link.to_parent[edge] == S.cell_with_verts((0, 1, 2))
-
-
 def test_partition_single_edge():
     S = helpers.single_edge()
     f = helpers.grades_of(helpers.EDGE_GRADES)
@@ -168,17 +140,6 @@ def test_partition_equals_reference():
     assert cases == 4 * 4 * 2 * 3 * 2
 
 
-def test_lower_link_equals_reference_link():
-    for seed in range(4):
-        S = helpers.random_complex(seed)
-        f = helpers.random_grades(seed + 30, 12)
-        for v in S.vertex_ids():
-            link = mm.lower_link(S, f, v)
-            ref, to_parent = helpers.reference_lower_link(S, f, v)
-            assert link.complex.verts == ref.verts
-            assert link.to_parent == to_parent
-
-
 def test_partition_cost_against_reference():
     mesh = helpers.sphere_mesh(5)
     S = mm.mesh_complex(mesh)
@@ -203,10 +164,6 @@ def test_ungraded_vertex_is_a_grade_error():
     short = helpers.grades_of(helpers.FULL_TRIANGLE_GRADES[:2])
     with pytest.raises(GradeError, match="no vertex 2"):
         mm.partition(S, short, [0, 1, 2])
-    with pytest.raises(GradeError, match="no vertex 2"):
-        mm.lower_link(S, short, 1)
-    with pytest.raises(GradeError, match="no vertex 2"):
-        mm.lower_link(S, short, 2)
 
 
 def test_max_index():

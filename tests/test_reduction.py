@@ -103,27 +103,37 @@ def test_step_chain_maps_identities():
 
 
 def test_reduce_all_reaches_critical_cells():
-    for order in ("generation", "dim-desc"):
-        S = helpers.full_triangle()
-        f, index, P, grades = _pipeline(S, helpers.FULL_TRIANGLE_GRADES)
-        result = mm.reduce_all(S, P, grades=grades, order=order)
-        assert result.complex.cells() == sorted(P.critical)
-        assert result.grades == {0: (0.0, 0.0)}
-        # input untouched
-        assert len(S) == 7 and grades[6] == (1.0, 1.0)
+    S = helpers.full_triangle()
+    f, index, P, grades = _pipeline(S, helpers.FULL_TRIANGLE_GRADES)
+    result = mm.reduce_all(S, P, grades=grades)
+    assert result.complex.cells() == sorted(P.critical)
+    assert result.grades == {0: (0.0, 0.0)}
+    # input untouched
+    assert len(S) == 7 and grades[6] == (1.0, 1.0)
+
+
+def _boundary_table(C):
+    return {c: dict(C.boundary(c)) for c in C.cells()}
 
 
 def test_reduce_all_orders_agree_on_cells():
-    for seed in range(5):
-        S = helpers.random_complex(seed)
-        f = helpers.random_grades(seed + 31, 12)
-        _, _, P, grades = _pipeline(S, f.grades)
-        a = mm.reduce_all(S, P, grades=grades, order="generation")
-        b = mm.reduce_all(S, P, grades=grades, order="dim-desc")
-        assert a.complex.cells() == b.complex.cells()
-        assert a.grades == b.grades
-        a.complex.validate()
-        b.complex.validate()
+    # the matching is acyclic, so removing its pairs highest dimension
+    # first, or in reverse, reaches the complex reduce_all reaches
+    for ring in (mm.GF2, mm.INTEGERS):
+        for seed in range(5):
+            S = helpers.random_complex(seed, ring=ring)
+            f = helpers.random_grades(seed + 31, 12)
+            _, _, P, grades = _pipeline(S, f.grades)
+            a = mm.reduce_all(S, P, grades=grades)
+            a.complex.validate()
+            dim_desc = sorted(P.pairs(), key=lambda p: -S.dim(p[0]))
+            for pairs in (dim_desc, P.pairs()[::-1]):
+                W, g = S.plain_copy(), dict(grades)
+                for sigma, tau in pairs:
+                    mm.reduce_pair(W, sigma, tau, g)
+                assert W.cells() == a.complex.cells()
+                assert _boundary_table(W) == _boundary_table(a.complex)
+                assert g == a.grades
 
 
 def test_reduce_all_empty_matching_is_identity():
@@ -173,14 +183,11 @@ def test_composed_maps_identities_and_supports():
                     assert mm.leq(grades[x], grades[g])
 
 
-def _replayed_steps(S, P, order):
+def _replayed_steps(S, P):
     """The step of every pair, replayed with reduce_pair on a copy of S
-    in the pair order reduce_all uses for the given order."""
-    pairs = P.pairs()
-    if order == "dim-desc":
-        pairs.sort(key=lambda p: -S.dim(p[0]))
+    in the pair order reduce_all uses."""
     W = S.plain_copy()
-    return [mm.reduce_pair(W, sigma, tau) for sigma, tau in pairs]
+    return [mm.reduce_pair(W, sigma, tau) for sigma, tau in P.pairs()]
 
 
 def _composed_step_by_step(S, steps):
@@ -220,14 +227,13 @@ def test_composed_maps_equal_step_by_step_composition():
                 grades = mm.entry_grades(S, f)
                 for variant in ("strict", "weak"):
                     P = mm.partition(S, f, index, variant)
-                    for order in ("generation", "dim-desc"):
-                        result = mm.reduce_all(S, P, grades=grades,
-                                               order=order, with_maps=True)
-                        proj, incl, homo = _composed_step_by_step(
-                            S, _replayed_steps(S, P, order))
-                        assert result.maps.projection == proj
-                        assert result.maps.inclusion == incl
-                        assert result.maps.homotopy == homo
+                    result = mm.reduce_all(S, P, grades=grades,
+                                           with_maps=True)
+                    proj, incl, homo = _composed_step_by_step(
+                        S, _replayed_steps(S, P))
+                    assert result.maps.projection == proj
+                    assert result.maps.inclusion == incl
+                    assert result.maps.homotopy == homo
 
 
 def test_composed_maps_cost_within_factor_of_plain_reduction():
@@ -275,8 +281,6 @@ def test_reduce_pair_errors():
     Z.set_incidence(e, v, 2)
     with pytest.raises(ReductionError):
         mm.reduce_pair(Z, v, e)
-    with pytest.raises(ReductionError):
-        mm.reduce_all(S, mm.MatchPartition({}, set()), order="sideways")
 
 
 def test_zero_correction_keeps_restriction():
