@@ -245,25 +245,39 @@ def complex_from_simplices(simplices: Iterable[Sequence[int]],
     """Build the closure of the given simplices with alternating-sign
     coefficients. Cell ids are assigned in (dimension, vertex-tuple)
     order, so vertices come first in vertex order."""
+    return complex_from_closure(_closure(simplices), ring)
+
+
+def complex_from_closure(closure: Iterable[Tuple[int, ...]],
+                         ring: CoefficientRing = GF2) -> SimplicialComplex:
+    """Build a complex from a face-closed list of sorted vertex tuples
+    with alternating-sign coefficients, giving cell ids in list order.
+    In (dimension, vertices) order the list gives what
+    complex_from_simplices gives for it; a face missing from the list,
+    or listed after its simplex, raises ComplexError."""
     out = SimplicialComplex(ring)
-    # Written straight into the tables: every face of a closure cell is
-    # an earlier cell one dimension down, and +-1 is nonzero in every
-    # ring, so the checks of add_cell and set_incidence cannot fail.
+    # Written straight into the tables: every face of a cell is an
+    # earlier cell one dimension down, and +-1 is nonzero in every ring,
+    # so the checks of add_cell and set_incidence cannot fail.
     signs = (ring.from_int(1), ring.from_int(-1))
     dims, faces, cofaces = out._dims, out._faces, out._cofaces
     by_verts = out.cell_by_verts
-    for c, w in enumerate(_closure(simplices)):
-        dims[c] = len(w) - 1
-        out.verts[c] = w
-        by_verts[w] = c
-        row: Dict[int, object] = {}
-        if len(w) > 1:
-            for i in range(len(w)):
-                t = by_verts[w[:i] + w[i + 1:]]
-                row[t] = signs[i % 2]
-                cofaces[t][c] = signs[i % 2]
-        faces[c] = row
-        cofaces[c] = {}
+    try:
+        for c, w in enumerate(closure):
+            dims[c] = len(w) - 1
+            out.verts[c] = w
+            by_verts[w] = c
+            row: Dict[int, object] = {}
+            if len(w) > 1:
+                for i in range(len(w)):
+                    t = by_verts[w[:i] + w[i + 1:]]
+                    row[t] = signs[i % 2]
+                    cofaces[t][c] = signs[i % 2]
+            faces[c] = row
+            cofaces[c] = {}
+    except KeyError as e:
+        raise ComplexError(f"complex: face {e.args[0]} of simplex {w} "
+                           f"is not listed before it") from None
     out._next_id = len(dims)
     return out
 
@@ -298,5 +312,7 @@ def full_subcomplex(S: SimplicialComplex,
                     vertex_set: Set[int]) -> SimplicialComplex:
     """Subcomplex of all cells whose vertices lie in vertex_set, keeping
     the original vertex numbering and the ring."""
-    kept = [w for w in S.verts.values() if all(u in vertex_set for u in w)]
-    return complex_from_simplices(kept, S.ring)
+    kept = sorted(w for w in S.verts.values()
+                  if all(u in vertex_set for u in w))
+    kept.sort(key=len)      # stable: (dimension, vertices) order
+    return complex_from_closure(kept, S.ring)

@@ -102,10 +102,12 @@ def entry_grades(S: SimplicialComplex,
                  f: MeasuringFunction) -> Dict[int, Grade]:
     """Entry grade of every cell of S."""
     grades = f.grades
+    n = len(grades)
     out: Dict[int, Grade] = {}
     for c in S.cells():
         w = S.verts[c]
-        f.check_vertices(w[0], w[-1])
+        if w[0] < 0 or w[-1] >= n:
+            f.check_vertices(w[0], w[-1])   # raises the GradeError
         if len(w) == 1:
             out[c] = grades[w[0]]
         else:

@@ -50,20 +50,24 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise MeshFormatError(f"mesh: cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise MeshFormatError(
+            f"mesh: {path}: byte {e.object[e.start]:#04x} at offset "
+            f"{e.start} is not ASCII") from None
 
 
-def _parse_off(lines: List[str], name: str) -> Mesh:
-    if not lines:
+def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
+    if not numbered:
         raise MeshFormatError(f"mesh: {name}: empty file")
-    head = lines[0].split()
+    head = numbered[0][1].split()
     if head[0] != "OFF":
         raise MeshFormatError(f"mesh: {name}: missing OFF header")
     if len(head) > 1:
-        counts, body = head[1:], lines[1:]
+        counts, body = head[1:], numbered[1:]
     else:
-        if len(lines) < 2:
+        if len(numbered) < 2:
             raise MeshFormatError(f"mesh: {name}: missing count line")
-        counts, body = lines[1].split(), lines[2:]
+        counts, body = numbered[1][1].split(), numbered[2:]
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (IndexError, ValueError):
@@ -72,21 +76,22 @@ def _parse_off(lines: List[str], name: str) -> Mesh:
         raise MeshFormatError(
             f"mesh: {name}: expected {nv} vertices and {nf} faces")
     vertices = []
-    for i in range(nv):
-        parts = body[i].split()
+    for number, line in body[:nv]:
+        parts = line.split()
         try:
             vertices.append((float(parts[0]), float(parts[1]), float(parts[2])))
         except (IndexError, ValueError):
             raise MeshFormatError(
-                f"mesh: {name}: bad vertex line {i}") from None
+                f"mesh: {name}: bad vertex line {number}") from None
     faces = []
-    for i in range(nf):
-        parts = body[nv + i].split()
+    for number, line in body[nv:nv + nf]:
+        parts = line.split()
         try:
             n = int(parts[0])
             idx = tuple(int(x) for x in parts[1:1 + n])
         except (IndexError, ValueError):
-            raise MeshFormatError(f"mesh: {name}: bad face line {i}") from None
+            raise MeshFormatError(
+                f"mesh: {name}: bad face line {number}") from None
         faces.append(_checked_triangle(idx, n, nv, name))
     return Mesh(vertices, faces)
 
@@ -139,25 +144,25 @@ def _parse_obj(lines: List[str], name: str) -> Mesh:
 def read_mesh(path: str) -> Mesh:
     """Parse an OFF or OBJ file, by extension with an OFF-header
     fallback."""
-    lines = [line for _, line in _numbered_lines(_read_text(path))]
+    numbered = _numbered_lines(_read_text(path))
     name = str(path)
     if name.lower().endswith(".obj"):
-        return _parse_obj(lines, name)
-    if name.lower().endswith(".off") or (lines and lines[0].split()[0] == "OFF"):
-        return _parse_off(lines, name)
+        return _parse_obj([line for _, line in numbered], name)
+    if name.lower().endswith(".off") or \
+            (numbered and numbered[0][1].split()[0] == "OFF"):
+        return _parse_off(numbered, name)
     raise MeshFormatError(f"mesh: {name}: unrecognized format")
 
 
 def read_values(path: str) -> MeasuringFunction:
     """Read a values file: one line per vertex, k numbers per line."""
-    lines = [line for _, line in _numbered_lines(_read_text(path))]
     grades = []
-    for i, line in enumerate(lines):
+    for number, line in _numbered_lines(_read_text(path)):
         try:
             grades.append(tuple(float(x) for x in line.split()))
         except ValueError:
             raise MeshFormatError(
-                f"mesh: {path}: bad values line {i}") from None
+                f"mesh: {path}: bad values line {number}") from None
     return MeasuringFunction(grades)
 
 

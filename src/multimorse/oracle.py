@@ -4,17 +4,22 @@ Everything here recomputes ranks directly from boundary matrices by
 exact Gaussian elimination, deliberately sharing no code with the
 matching or reduction machinery, so it can certify their output.
 
-For each grid grade alpha and dimension q, one column elimination of
-the q-cells of the sublevel set at alpha gives both its q-cycles (the
-cell combinations that reduce to zero) and its (q-1)-boundaries (the
-pivots). Each cell's boundary column is converted once per table. The
-cycles of alpha independent modulo its own boundaries are its homology
-representatives, and the rank of H_q(alpha) -> H_q(beta) over a field
-is the number of them that stay independent modulo the boundaries at
-beta. Integer homology (Betti numbers plus torsion) goes through a
-Smith normal form; when both complexes are over the integers,
-verify_equivalence also compares the torsion of their sublevel
-complexes.
+For each grid grade alpha, the sublevel set at alpha is column-reduced
+one dimension at a time, from the top down. One elimination of its
+q-cells gives both its q-cycles (the cell combinations that reduce to
+zero) and its (q-1)-boundaries (the pivots). A q-cell that is the pivot
+of a reduced (q+1)-column is left out of the q elimination (clearing,
+after Chen & Kerber, "Persistent homology computation with a twist"):
+its column would reduce to zero and give a boundary. Over a field this
+is exact for any chain complex whose boundary squares to zero, whatever
+the cell order; the face-closure check still runs on every cell. Each
+cell's boundary column is converted once per table. The cycles left
+are the homology representatives of alpha, and the rank of
+H_q(alpha) -> H_q(beta) is the number of them that stay independent
+modulo the boundaries at beta. Integer homology (Betti numbers plus
+torsion) goes through a Smith normal form; when both complexes are over
+the integers, verify_equivalence also compares the torsion of their
+sublevel complexes.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le
-from typing import (Callable, Dict, KeysView, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Container, Dict, Iterator, KeysView, List,
+                    Optional, Sequence, Set, Tuple)
 
 from .complexes import SComplex
 from .filtration import Grade, GradeError, critical_grades, leq
@@ -111,10 +116,11 @@ class _Columns:
         self.S, self.fld, self.conv = S, fld, conv
         self.cache: Dict[int, Tuple[KeysView, Dict[int, object]]] = {}
 
-    def of(self, cells: Sequence[int], below: Set[int]
-           ) -> List[Tuple[int, Dict[int, object]]]:
-        """(cell, column) for each cell; raises OracleError unless every
-        face of every cell lies in below."""
+    def of(self, cells: Sequence[int], below: Set[int],
+           cleared: Container[int]) -> List[Tuple[int, Dict[int, object]]]:
+        """(cell, column) for each cell not in cleared; raises
+        OracleError unless every face of every cell, cleared or not,
+        lies in below."""
         out = []
         cache = self.cache
         for c in cells:
@@ -131,7 +137,8 @@ class _Columns:
                 t = next(t for t in entry[0] if t not in below)
                 raise OracleError(
                     f"oracle: face {t} of cell {c} missing from sublevel set")
-            out.append((c, entry[1]))
+            if c not in cleared:
+                out.append((c, entry[1]))
         return out
 
 
@@ -170,6 +177,27 @@ def _eliminate(cols: List[Tuple[int, Dict[int, object]]],
             if track:
                 cycles[c] = comb
     return cycles, ech
+
+
+def _top_down(columns: _Columns, levels: Sequence[Sequence[int]],
+              track_to: int
+              ) -> Iterator[Tuple[int, Dict[int, Dict[int, object]],
+                                  _Echelon]]:
+    """Eliminate levels[q], the q-cells of a face-closed cell set in
+    ascending order, for q from the top down to 0, yielding q, the
+    q-cycles (for q <= track_to, else none) and the echelon of the
+    (q-1)-boundaries. The pivots of the (q+1)-boundaries are cleared
+    from the q elimination: a reduced (q+1)-column with pivot c is a
+    cycle whose largest cell is c, so the column of c reduces to zero
+    and no other column changes. The cycles yielded are the homology
+    representatives."""
+    cleared: Dict[int, Dict[int, object]] = {}
+    for q in range(len(levels) - 1, -1, -1):
+        below = set(levels[q - 1]) if q else set()
+        cycles, ech = _eliminate(columns.of(levels[q], below, cleared),
+                                 columns.fld, q <= track_to)
+        yield q, cycles, ech
+        cleared = ech.rows
 
 
 def _check_arity(grid: Sequence[Grade], grades: Dict[int, Grade]) -> None:
@@ -304,12 +332,11 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     top = S.max_dim
     if top < 0:
         return HomologyRanks([], [] if with_torsion else None)
-    columns = _Columns(S, fld, conv)
-    all_cells = set(S.cells())
     by_dim = [S.cells_of_dim(q) for q in range(top + 2)]
     # ranks[q] is the rank of the boundary map out of the q-chains
-    ranks = [_eliminate(columns.of(cells, all_cells), fld, False)[1].rank
-             for cells in by_dim]
+    ranks = [0] * (top + 2)
+    for q, _, ech in _top_down(_Columns(S, fld, conv), by_dim, -1):
+        ranks[q] = ech.rank
     betti = [len(by_dim[q]) - ranks[q] - ranks[q + 1]
              for q in range(top + 1)]
     torsion = ([_integer_torsion(S, q) for q in range(top + 1)]
@@ -352,12 +379,12 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     dimension up to q_max. The default grid is the complex's distinct
     entry grades; max_grades thins it to evenly spaced picks.
 
-    Each grid grade alpha costs one elimination per dimension, which
-    gives both its cycles and its boundaries; cycles that complete its
-    own boundaries B_q(alpha) to a basis of its cycles are its homology
-    representatives. As B_q(alpha) lies in B_q(beta) for alpha <= beta,
-    the rank of H_q(alpha) -> H_q(beta) counts the representatives of
-    alpha that stay independent modulo B_q(beta)."""
+    Each grid grade alpha costs one elimination per dimension, from the
+    top down with clearing, which gives both its boundaries B_q(alpha)
+    and the cycles that complete them to a basis of all cycles, its
+    homology representatives. As B_q(alpha) lies in B_q(beta) for
+    alpha <= beta, the rank of H_q(alpha) -> H_q(beta) counts the
+    representatives of alpha that stay independent modulo B_q(beta)."""
     fld, conv = _field_view(S, field)
     if grid is None:
         grid = critical_grades(grades)
@@ -369,24 +396,13 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     borders: Dict[Tuple[Grade, int], _Echelon] = {}
     reps: Dict[Tuple[Grade, int], List[Dict[int, object]]] = {}
     for alpha in grid:
-        below: Set[int] = set()
-        cycles: Dict[int, Dict[int, object]] = {}
-        for q, cells in enumerate(buckets[alpha]):
-            lower_cycles = cycles
-            # cycles are needed up to q_hi; the level above gives the
-            # boundaries of q_hi only
-            cycles, ech = _eliminate(columns.of(cells, below), fld,
-                                     q <= q_hi)
-            below = set(cells)
-            if q == 0:
-                continue
-            borders[alpha, q - 1] = ech
-            # the cycles have distinct largest cells and the boundary
-            # rows distinct pivots, all among those cells, so the cycles
-            # whose largest cell is no pivot complete the boundaries to
-            # a basis of all cycles
-            reps[alpha, q - 1] = [z for c, z in lower_cycles.items()
-                                  if c not in ech.rows]
+        # cycles are needed up to q_hi; the level above gives the
+        # boundaries of q_hi only
+        for q, cycles, ech in _top_down(columns, buckets[alpha], q_hi):
+            if q <= q_hi:
+                reps[alpha, q] = list(cycles.values())
+            if q:
+                borders[alpha, q - 1] = ech
     table: Dict[Tuple[int, Grade, Grade], int] = {}
     for alpha in grid:
         for beta in grid:

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .complexes import SComplex, SimplicialComplex, \
-    complex_from_simplices, vertex_neighbors
+from .complexes import SComplex, SimplicialComplex, complex_from_closure
 from .filtration import MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
@@ -119,34 +118,50 @@ def _ball_submesh(S: SimplicialComplex, center: int,
     the induced subcomplex would exceed cell_limit cells; the center
     alone is kept whatever the limit.
 
-    Each ring adds only the cells that have a vertex in it: the ring's
+    Each ring's vertices are read from the edges of the frontier, and
+    the ring adds only the cells that have a vertex in it: the ring's
     vertices and those of their cofaces whose vertices all lie in the
-    grown ball. The result equals full_subcomplex(S, ball) for the
-    final ball, at a cost set by the ball and not by S."""
+    grown ball. A ring stops as soon as its cells overflow the limit,
+    since it is rejected whole. The kept cells are face-closed, and
+    the result equals full_subcomplex(S, ball) for the final ball, at a
+    cost set by the ball and not by S."""
+    verts, by_verts = S.verts, S.cell_by_verts
     inside = {center}
     frontier = {center}
     kept = {(center,)}
     while frontier:
         ring_verts = set()
         for v in frontier:
-            ring_verts |= vertex_neighbors(S, v)
+            for e, _ in S.coboundary(by_verts[(v,)]):
+                ring_verts.update(verts[e])
         ring_verts -= inside
         if not ring_verts:
             break
         grown = inside | ring_verts
         new = set()
+        room = cell_limit - len(kept)
         for v in ring_verts:
             new.add((v,))
-            for c in S.cofaces_closure(S.cell_by_verts[(v,)]):
-                w = S.verts[c]
-                if all(u in grown for u in w):
-                    new.add(w)
-        if len(kept) + len(new) > cell_limit:
-            break
+            # the cofaces of v inside the grown ball; a cell outside it
+            # has no coface inside, and a cell found before has had its
+            # cofaces visited
+            stack = [by_verts[(v,)]]
+            while stack:
+                for c, _ in S.coboundary(stack.pop()):
+                    w = verts[c]
+                    if w not in new and grown.issuperset(w):
+                        new.add(w)
+                        stack.append(c)
+            if len(new) > room:
+                break
+        if len(new) > room:
+            break   # the ring overflows and is rejected whole
         inside = grown
         frontier = ring_verts
         kept |= new
-    return complex_from_simplices(kept, S.ring)
+    cells = sorted(kept)
+    cells.sort(key=len)     # stable: (dimension, vertices) order
+    return complex_from_closure(cells, S.ring)
 
 
 def sample_star_submeshes(S: SimplicialComplex, count: int,

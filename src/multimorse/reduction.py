@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .complexes import SComplex, SimplicialComplex
+from .complexes import ComplexError, SComplex, SimplicialComplex
 from .filtration import Grade
 from .matching import MatchPartition
 from .rings import CoefficientRing
@@ -70,17 +70,25 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
     surviving coefficients. tau must be a primary coface of sigma and
     their incidence must be a unit. Grades, when given, lose the two
     removed entries and keep every survivor's grade unchanged."""
-    if tau not in S.primary_cofaces(sigma):
+    # the adjacency tables are read and rewritten in place; every
+    # rewritten entry joins a coface of sigma to a face of tau, one
+    # dimension apart, and ring arithmetic keeps it normalized
+    faces, cofaces = S._faces, S._cofaces
+    try:
+        sigma_row = cofaces[sigma]
+    except KeyError:
+        raise ComplexError(f"complex: no cell {sigma}") from None
+    pivot = sigma_row.get(tau)
+    if pivot is None:
         raise ReductionError(
             f"reduction: {tau} is not a primary coface of {sigma}")
     ring = S.ring
-    pivot = S.incidence(tau, sigma)
     if not ring.is_unit(pivot):
         raise ReductionError(
             f"reduction: incidence {ring.format(pivot)} of pair "
             f"({sigma}, {tau}) is not a unit in {ring.name}")
-    tau_faces = {xi: b for xi, b in S.boundary(tau) if xi != sigma}
-    sigma_cofaces = {eta: a for eta, a in S.coboundary(sigma) if eta != tau}
+    tau_faces = {xi: b for xi, b in faces[tau].items() if xi != sigma}
+    sigma_cofaces = {eta: a for eta, a in sigma_row.items() if eta != tau}
     step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces,
                          ring)
     S.remove_cell(sigma)
@@ -88,11 +96,18 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
     if grades is not None:
         grades.pop(sigma, None)
         grades.pop(tau, None)
+    zero, sub, mul = ring.zero, ring.sub, ring.mul
     for eta, a in sigma_cofaces.items():
         correction = ring.div(a, pivot)
+        row = faces[eta]
         for xi, b in tau_faces.items():
-            value = ring.sub(S.incidence(eta, xi), ring.mul(correction, b))
-            S.set_incidence(eta, xi, value)
+            value = sub(row.get(xi, zero), mul(correction, b))
+            if value == zero:
+                row.pop(xi, None)
+                cofaces[xi].pop(eta, None)
+            else:
+                row[xi] = value
+                cofaces[xi][eta] = value
     return step
 
 

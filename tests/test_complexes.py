@@ -3,7 +3,7 @@ import random
 import pytest
 
 import multimorse as mm
-from multimorse.complexes import ComplexError
+from multimorse.complexes import ComplexError, complex_from_closure
 
 import helpers
 
@@ -130,6 +130,21 @@ def test_complex_from_simplices_equals_reference_builder():
                 _assert_same_complex(
                     mm.complex_from_simplices(given, ring),
                     helpers.reference_complex_from_simplices(given, ring))
+
+
+def test_complex_from_closure_equals_complex_from_simplices():
+    for n, simplices in helpers.meshes_with_solids():
+        for ring in (mm.GF2, mm.INTEGERS):
+            want = mm.complex_from_simplices(simplices, ring)
+            # the cells of a closure, in (dimension, vertices) order
+            closed = [want.verts[c] for c in want.cells()]
+            _assert_same_complex(complex_from_closure(closed, ring), want)
+    # a face missing, or listed after its simplex, is a ComplexError
+    closed = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    for cells in (closed[:5] + closed[6:], closed[:5] + closed[6:] + [(1, 2)]):
+        with pytest.raises(ComplexError, match=r"face \(1, 2\) of simplex "
+                                               r"\(0, 1, 2\) is not listed"):
+            complex_from_closure(cells)
 
 
 def test_incidence_dimension_rule():

@@ -68,6 +68,10 @@ def test_extension_fallback_sniffs_off(tmp_path):
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2 2\n", "non-triangle"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", "degenerate"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "out of range"),
+    # the 1-based file line, counting blank and comment lines
+    ("OFF\n# c\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "bad face line 7$"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "bad face line 6$"),
+    ("OFF 3 1 0\n\n0 0 0\n1 y 0\n0 1 0\n3 0 1 2\n", "bad vertex line 4$"),
 ])
 def test_bad_off_files(tmp_path, body, complaint):
     path = tmp_path / "bad.off"
@@ -97,6 +101,17 @@ def test_missing_file():
         mm.read_values("/nonexistent/values.txt")
 
 
+@pytest.mark.parametrize("read", [mm.read_mesh, mm.read_values,
+                                  mm.read_reduced])
+def test_non_ascii_file(tmp_path, read):
+    path = tmp_path / "latin1.off"
+    path.write_bytes(b"OFF\n3 1 0\n\xff 0 0\n")
+    with pytest.raises(MeshFormatError,
+                       match=r"latin1\.off: byte 0xff at offset 10 is not "
+                             r"ASCII"):
+        read(str(path))
+
+
 def test_preset_abs_xy():
     mesh = mm.Mesh([(-1.5, 2.0, 7.0), (0.0, 0.0, -3.0), (0.25, -0.5, 0.0)],
                    [])
@@ -113,7 +128,11 @@ def test_read_values(tmp_path):
     assert f.grades == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\ntwo 3\n")
-    with pytest.raises(MeshFormatError, match="bad values"):
+    with pytest.raises(MeshFormatError, match="bad values line 2$"):
+        mm.read_values(str(bad))
+    # the 1-based file line, counting blank and comment lines
+    bad.write_text("# header\n\n1 2\n1 x\n")
+    with pytest.raises(MeshFormatError, match="bad values line 4$"):
         mm.read_values(str(bad))
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("0 1\n2\n")

@@ -292,6 +292,42 @@ def test_rank_table_matches_reference():
         assert table
         assert table == helpers.reference_rank_table(
             S, grades, q_max=q_max, grid=grid, max_grades=max_grades), seed
+    # reduce_all outputs over q and z are cell complexes, not simplicial
+    # ones; shuffling their ids also breaks every link between id order
+    # and dimension, the general case of the oracle's top-down clearing
+    cases = [(helpers.klein_bottle(), [None, mm.GF2]),
+             (helpers.random_complex(5, n_top=16, ring=mm.INTEGERS),
+              [None, mm.get_ring("z3")]),
+             (helpers.random_complex(6, n_top=16, ring=mm.RATIONALS), [None])]
+    for S, fields in cases:
+        n = len(S.cells_of_dim(0))
+        for variant, tied in (("strict", False), ("weak", True)):
+            f = _random_case_grades(rng, n, 2, tied)
+            result = mm.reduce_all(
+                S, mm.partition(S, f, mm.lex_indexing(f), variant),
+                grades=mm.entry_grades(S, f))
+            assert len(result.complex) < len(S)
+            for C, grades in ((result.complex, result.grades),
+                              _shuffled_ids(result.complex, result.grades,
+                                            rng)):
+                for field in fields:
+                    assert mm.rank_table(C, grades, field, max_grades=12) == \
+                        helpers.reference_rank_table(C, grades, field,
+                                                     max_grades=12), \
+                        (S.ring, variant, field)
+
+
+def _shuffled_ids(S, grades, rng):
+    """A copy of S and its grades with the cell ids permuted at random."""
+    ids = S.cells()
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    out = mm.SComplex(S.ring)
+    for c in ids:
+        out.add_cell(S.dim(c), new[c])
+    for c in ids:
+        for t, v in S.boundary(c):
+            out.set_incidence(new[c], new[t], v)
+    return out, {new[c]: g for c, g in grades.items()}
 
 
 def test_rank_table_matches_reference_over_a_viewing_field():

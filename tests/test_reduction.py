@@ -273,14 +273,20 @@ def test_matching_stays_acyclic_during_reduction():
 
 def test_reduce_pair_errors():
     S = helpers.full_triangle()
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="6 is not a primary coface of 0"):
         mm.reduce_pair(S, 0, 6)
+    with pytest.raises(ReductionError, match="99 is not a primary coface"):
+        mm.reduce_pair(S, 0, 99)
+    with pytest.raises(mm.ComplexError, match="no cell 99"):
+        mm.reduce_pair(S, 99, 6)
+    assert len(S) == 7
     Z = mm.SComplex(mm.INTEGERS)
     v = Z.add_cell(0)
     e = Z.add_cell(1)
     Z.set_incidence(e, v, 2)
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="incidence 2 .* not a unit"):
         mm.reduce_pair(Z, v, e)
+    assert dict(Z.boundary(e)) == {v: 2}
 
 
 def test_zero_correction_keeps_restriction():
