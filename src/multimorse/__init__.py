@@ -9,10 +9,9 @@ persistent homology rank survived.
 
 from .complexes import (ComplexError, SComplex, SimplicialComplex,
                         build_simplicial, complex_from_simplices,
-                        full_subcomplex, vertex_neighbors)
-from .filtration import (Grade, GradeError, MeasuringFunction, cell_grade,
-                         check_face_monotone, critical_grades, entry_grades,
-                         join, le_neq, leq, lt, sublevel_cells)
+                        full_subcomplex)
+from .filtration import (Grade, GradeError, MeasuringFunction,
+                         critical_grades, entry_grades, le_neq, leq)
 from .indexing import (ComparabilityDag, build_dag, lex_indexing,
                        topo_sort_kahn, validate_indexing)
 from .matching import (MatchPartition, MatchingError, is_acyclic, max_index,
@@ -20,13 +19,11 @@ from .matching import (MatchPartition, MatchingError, is_acyclic, max_index,
 from .meshio import (Mesh, MeshFormatError, mesh_complex, preset_abs_xy,
                      read_mesh, read_reduced, read_values, write_reduced)
 from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,
-                     persistent_rank, rank_table, verify_equivalence)
+                     rank_table, verify_equivalence)
 from .pipeline import (PipelineError, RunConfig, match_table, run,
                        run_verification, sample_star_submeshes, stats_table)
-from .reduction import (ChainMap, ComposedMaps, ReductionError,
-                        ReductionResult, ReductionStep, homotopy_map,
-                        inclusion_map, projection_map, reduce_all,
-                        reduce_pair)
+from .reduction import (ComposedMaps, ReductionError, ReductionResult,
+                        ReductionStep, reduce_all, reduce_pair)
 from .rings import (GF2, INTEGERS, RATIONALS, CoefficientRing, Integers,
                     PrimeField, Rationals, RingError, get_ring)
 

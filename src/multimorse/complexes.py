@@ -121,39 +121,15 @@ class SComplex:
         except KeyError:
             raise ComplexError(f"complex: no cell {c}") from None
 
-    def primary_faces(self, c: int) -> Set[int]:
-        if c not in self._dims:
-            raise ComplexError(f"complex: no cell {c}")
-        return set(self._faces[c])
-
-    def primary_cofaces(self, c: int) -> Set[int]:
-        if c not in self._dims:
-            raise ComplexError(f"complex: no cell {c}")
-        return set(self._cofaces[c])
-
-    def cofaces_closure(self, c: int) -> Set[int]:
-        """All cells having c in their iterated boundary, c excluded."""
-        if c not in self._dims:
-            raise ComplexError(f"complex: no cell {c}")
-        seen: Set[int] = set()
-        stack = [c]
-        while stack:
-            for s in self._cofaces[stack.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return seen
-
     def copy(self) -> "SComplex":
+        """An independent copy as a bare SComplex; a SimplicialComplex's
+        vertex tuples are left behind."""
         out = SComplex(self.ring)
-        out._copy_core(self)
+        out._dims = dict(self._dims)
+        out._faces = {c: dict(row) for c, row in self._faces.items()}
+        out._cofaces = {c: dict(row) for c, row in self._cofaces.items()}
+        out._next_id = self._next_id
         return out
-
-    def _copy_core(self, src: "SComplex") -> None:
-        self._dims = dict(src._dims)
-        self._faces = {c: dict(row) for c, row in src._faces.items()}
-        self._cofaces = {c: dict(row) for c, row in src._cofaces.items()}
-        self._next_id = src._next_id
 
     def validate(self) -> None:
         """Check the dimension rule, adjacency symmetry, and dd == 0."""
@@ -185,13 +161,6 @@ class SimplicialComplex(SComplex):
         self.verts: Dict[int, Tuple[int, ...]] = {}
         self.cell_by_verts: Dict[Tuple[int, ...], int] = {}
 
-    def add_simplex_cell(self, vertices: Tuple[int, ...],
-                         cell_id: int | None = None) -> int:
-        c = self.add_cell(len(vertices) - 1, cell_id)
-        self.verts[c] = vertices
-        self.cell_by_verts[vertices] = c
-        return c
-
     def cell_with_verts(self, vertices: Sequence[int]) -> int:
         key = tuple(sorted(vertices))
         try:
@@ -209,19 +178,6 @@ class SimplicialComplex(SComplex):
         w = self.verts.pop(c, None)
         if w is not None:
             del self.cell_by_verts[w]
-
-    def copy(self) -> "SimplicialComplex":
-        out = SimplicialComplex(self.ring)
-        out._copy_core(self)
-        out.verts = dict(self.verts)
-        out.cell_by_verts = dict(self.cell_by_verts)
-        return out
-
-    def plain_copy(self) -> SComplex:
-        """Copy as a bare SComplex, dropping simplex bookkeeping."""
-        out = SComplex(self.ring)
-        out._copy_core(self)
-        return out
 
 
 def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
@@ -295,17 +251,6 @@ def build_simplicial(vertex_count: int,
                     f"complex: vertex {v} outside 0..{vertex_count - 1}")
         simplices.append(s)
     return complex_from_simplices(simplices, ring)
-
-
-def vertex_neighbors(S: SimplicialComplex, vid: int) -> Set[int]:
-    """Vertex numbers joined to vid by an edge."""
-    c = S.cell_with_verts((vid,))
-    out: Set[int] = set()
-    for e in S.primary_cofaces(c):
-        for u in S.verts[e]:
-            if u != vid:
-                out.add(u)
-    return out
 
 
 def full_subcomplex(S: SimplicialComplex,

@@ -1,17 +1,17 @@
 """Vector-valued grades, the componentwise order, and sublevel filtrations.
 
 A grade is a tuple of k floats. Grades are compared componentwise: leq is
-<= in every coordinate, lt is < in every coordinate, and le_neq is leq
-together with inequality somewhere. A measuring function assigns a grade
-to every vertex; a cell enters the filtration at the componentwise
-maximum of its vertex grades, so sublevel sets are subcomplexes.
+<= in every coordinate, and le_neq is leq together with inequality
+somewhere. A measuring function assigns a grade to every vertex; a cell
+enters the filtration at the componentwise maximum of its vertex grades,
+so sublevel sets are subcomplexes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .complexes import SimplicialComplex
 
@@ -33,20 +33,9 @@ def leq(a: Grade, b: Grade) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def lt(a: Grade, b: Grade) -> bool:
-    """a < b in every component."""
-    _check_pair(a, b)
-    return all(x < y for x, y in zip(a, b))
-
-
 def le_neq(a: Grade, b: Grade) -> bool:
     """a <= b in every component and a != b."""
     return leq(a, b) and a != b
-
-
-def join(a: Grade, b: Grade) -> Grade:
-    _check_pair(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 @dataclass
@@ -89,15 +78,6 @@ class MeasuringFunction:
             raise GradeError(f"grades: no vertex {hi}")
 
 
-def cell_grade(S: SimplicialComplex, f: MeasuringFunction, c: int) -> Grade:
-    """Entry grade of a cell: componentwise max over its vertices."""
-    w = S.verts[c]
-    g = f[w[0]]
-    for u in w[1:]:
-        g = join(g, f[u])
-    return g
-
-
 def entry_grades(S: SimplicialComplex,
                  f: MeasuringFunction) -> Dict[int, Grade]:
     """Entry grade of every cell of S."""
@@ -115,33 +95,8 @@ def entry_grades(S: SimplicialComplex,
     return out
 
 
-def sublevel_cells(grades: Dict[int, Grade], alpha: Grade) -> Set[int]:
-    """Cells present at grade alpha."""
-    n = len(alpha)
-    out: Set[int] = set()
-    for c, g in grades.items():
-        if len(g) != n:
-            _check_pair(g, alpha)
-        for x, y in zip(g, alpha):
-            if not x <= y:
-                break
-        else:
-            out.add(c)
-    return out
-
-
 def critical_grades(grades: Dict[int, Grade] | Iterable[Grade]) -> List[Grade]:
     """Distinct entry grades, lexicographically sorted."""
     values = grades.values() if isinstance(grades, dict) else grades
     return sorted(set(values))
 
-
-def check_face_monotone(S: SimplicialComplex,
-                        grades: Dict[int, Grade]) -> bool:
-    """True when every cell's grade dominates all of its faces' grades,
-    i.e. sublevel sets are closed under taking faces."""
-    for c in S.cells():
-        for t in S.primary_faces(c):
-            if not leq(grades[t], grades[c]):
-                return False
-    return True

@@ -198,7 +198,7 @@ def modified_hasse(S, matched: Dict[int, int]) -> Dict[int, List[int]]:
     primary face, except a lower cell points up at its match instead."""
     adj: Dict[int, List[int]] = {c: [] for c in S.cells()}
     for s in adj:
-        for t in sorted(S.primary_faces(s)):
+        for t, _ in sorted(S.boundary(s)):
             if matched.get(t) == s:
                 adj[t].append(s)
             else:

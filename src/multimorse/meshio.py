@@ -92,34 +92,36 @@ def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
         except (IndexError, ValueError):
             raise MeshFormatError(
                 f"mesh: {name}: bad face line {number}") from None
-        faces.append(_checked_triangle(idx, n, nv, name))
+        faces.append(_checked_triangle(idx, n, nv, name, number))
     return Mesh(vertices, faces)
 
 
-def _checked_triangle(idx: Tuple[int, ...], n: int, nv: int,
-                      name: str) -> Tuple[int, int, int]:
+def _checked_triangle(idx: Tuple[int, ...], n: int, nv: int, name: str,
+                      number: int) -> Tuple[int, int, int]:
+    where = f"mesh: {name}: line {number}"
     if n != 3 or len(idx) != 3:
-        raise MeshFormatError(f"mesh: {name}: non-triangle face {idx}")
+        raise MeshFormatError(f"{where}: non-triangle face {idx}")
     if len(set(idx)) != 3:
-        raise MeshFormatError(f"mesh: {name}: degenerate face {idx}")
+        raise MeshFormatError(f"{where}: degenerate face {idx}")
     for v in idx:
         if not 0 <= v < nv:
-            raise MeshFormatError(f"mesh: {name}: index out of range ({v})")
+            raise MeshFormatError(f"{where}: index out of range ({v})")
     return idx  # type: ignore[return-value]
 
 
-def _parse_obj(lines: List[str], name: str) -> Mesh:
+def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
     vertices: List[Tuple[float, float, float]] = []
-    raw_faces: List[Tuple[int, ...]] = []
-    for line in lines:
+    raw_faces: List[Tuple[int, Tuple[int, ...]]] = []
+    for number, line in numbered:
         parts = line.split()
+        where = f"mesh: {name}: line {number}"
         if parts[0] == "v":
             try:
                 vertices.append(
                     (float(parts[1]), float(parts[2]), float(parts[3])))
             except (IndexError, ValueError):
                 raise MeshFormatError(
-                    f"mesh: {name}: bad vertex line {line!r}") from None
+                    f"{where}: bad vertex line {line!r}") from None
         elif parts[0] == "f":
             refs = parts[1:]
             idx = []
@@ -129,15 +131,14 @@ def _parse_obj(lines: List[str], name: str) -> Mesh:
                     i = int(head)
                 except ValueError:
                     raise MeshFormatError(
-                        f"mesh: {name}: bad face reference {ref!r}") from None
+                        f"{where}: bad face reference {ref!r}") from None
                 if i < 1:
-                    raise MeshFormatError(
-                        f"mesh: {name}: index out of range ({i})")
+                    raise MeshFormatError(f"{where}: index out of range ({i})")
                 idx.append(i - 1)
-            raw_faces.append(tuple(idx))
+            raw_faces.append((number, tuple(idx)))
         # every other OBJ directive (vt, vn, usemtl, ...) is ignored
-    faces = [_checked_triangle(idx, len(idx), len(vertices), name)
-             for idx in raw_faces]
+    faces = [_checked_triangle(idx, len(idx), len(vertices), name, number)
+             for number, idx in raw_faces]
     return Mesh(vertices, faces)
 
 
@@ -147,7 +148,7 @@ def read_mesh(path: str) -> Mesh:
     numbered = _numbered_lines(_read_text(path))
     name = str(path)
     if name.lower().endswith(".obj"):
-        return _parse_obj([line for _, line in numbered], name)
+        return _parse_obj(numbered, name)
     if name.lower().endswith(".off") or \
             (numbered and numbered[0][1].split()[0] == "OFF"):
         return _parse_off(numbered, name)

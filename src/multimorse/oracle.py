@@ -31,13 +31,13 @@ from typing import (Callable, Container, Dict, Iterator, KeysView, List,
                     Optional, Sequence, Set, Tuple)
 
 from .complexes import SComplex
-from .filtration import Grade, GradeError, critical_grades, leq
+from .filtration import Grade, GradeError, critical_grades
 from .rings import RATIONALS, CoefficientRing, Integers
 
 
 class OracleError(ValueError):
     """Raised for unusable oracle inputs: non-field coefficients where a
-    field is required, incomparable grades, or sublevel sets that are
+    field is required, a grid limit below one, or sublevel sets that are
     not closed under faces."""
 
 
@@ -249,9 +249,6 @@ class HomologyRanks:
     betti: List[int]
     torsion: Optional[List[List[int]]] = None
 
-    def betti_of(self, q: int) -> int:
-        return self.betti[q] if 0 <= q < len(self.betti) else 0
-
 
 def _integer_torsion(S: SComplex, q: int,
                      upper: Optional[Sequence[int]] = None) -> List[int]:
@@ -344,16 +341,6 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     return HomologyRanks(betti, torsion)
 
 
-def persistent_rank(S: SComplex, grades: Dict[int, Grade], alpha: Grade,
-                    beta: Grade, q: int,
-                    field: Optional[CoefficientRing] = None) -> int:
-    """Rank of H_q(sublevel at alpha) -> H_q(sublevel at beta)."""
-    if not leq(alpha, beta):
-        raise OracleError(f"oracle: grades {alpha} and {beta} are not ordered")
-    table = rank_table(S, grades, field, q, [alpha, beta])
-    return table.get((q, alpha, beta), 0)
-
-
 def _thin(grid: List[Grade], max_grades: Optional[int]) -> List[Grade]:
     if max_grades is None or len(grid) <= max_grades:
         return list(grid)
@@ -372,12 +359,11 @@ def _thin(grid: List[Grade], max_grades: Optional[int]) -> List[Grade]:
 def rank_table(S: SComplex, grades: Dict[int, Grade],
                field: Optional[CoefficientRing] = None,
                q_max: Optional[int] = None,
-               grid: Optional[Sequence[Grade]] = None,
-               max_grades: Optional[int] = None
+               grid: Optional[Sequence[Grade]] = None
                ) -> Dict[Tuple[int, Grade, Grade], int]:
     """Persistent ranks for every ordered pair of grid grades and every
     dimension up to q_max. The default grid is the complex's distinct
-    entry grades; max_grades thins it to evenly spaced picks.
+    entry grades.
 
     Each grid grade alpha costs one elimination per dimension, from the
     top down with clearing, which gives both its boundaries B_q(alpha)
@@ -386,9 +372,7 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     alpha <= beta, the rank of H_q(alpha) -> H_q(beta) counts the
     representatives of alpha that stay independent modulo B_q(beta)."""
     fld, conv = _field_view(S, field)
-    if grid is None:
-        grid = critical_grades(grades)
-    grid = _thin(sorted(set(grid)), max_grades)
+    grid = critical_grades(grades if grid is None else grid)
     q_hi = S.max_dim if q_max is None else q_max
     _check_arity(grid, grades)
     buckets = _sublevel_buckets(S, grades, grid, q_hi + 1)
@@ -406,7 +390,7 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     table: Dict[Tuple[int, Grade, Grade], int] = {}
     for alpha in grid:
         for beta in grid:
-            if not leq(alpha, beta):
+            if not all(map(le, alpha, beta)):
                 continue
             for q in range(q_hi + 1):
                 table[q, alpha, beta] = _independent_count(

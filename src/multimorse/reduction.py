@@ -7,10 +7,10 @@ sigma with unit incidence, rewrites the remaining coefficients as
 
 with pivot = old(tau, sigma), eta running over the other cofaces of
 sigma and xi over the other faces of tau. The result is again a valid
-complex, and the step comes with chain maps: a projection onto the
-smaller complex, an inclusion back, and a degree +1 homotopy connecting
-their composite to the identity. reduce_all applies every pair of a
-matching and can accumulate the composed maps.
+complex. reduce_all applies every pair of a matching and can accumulate
+the composed chain maps: a projection onto the smaller complex, an
+inclusion back, and a degree +1 homotopy connecting their composite to
+the identity.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .complexes import ComplexError, SComplex, SimplicialComplex
+from .complexes import ComplexError, SComplex
 from .filtration import Grade
 from .matching import MatchPartition
 from .rings import CoefficientRing
@@ -30,29 +30,6 @@ class ReductionError(ValueError):
 
 
 @dataclass
-class ChainMap:
-    """Sparse linear map given by columns for the generators where it
-    differs from the default (identity when default_identity, else 0)."""
-
-    ring: CoefficientRing
-    columns: Dict[int, Dict[int, object]]
-    default_identity: bool = False
-
-    def image_of(self, g: int) -> Dict[int, object]:
-        if g in self.columns:
-            return dict(self.columns[g])
-        if self.default_identity:
-            return {g: self.ring.one}
-        return {}
-
-    def apply(self, chain: Dict[int, object]) -> Dict[int, object]:
-        out: Dict[int, object] = {}
-        for g, c in chain.items():
-            self.ring.axpy(out, c, self.image_of(g))
-        return out
-
-
-@dataclass
 class ReductionStep:
     """Snapshot of one elementary reduction, taken before removal."""
 
@@ -61,7 +38,6 @@ class ReductionStep:
     pivot: object
     tau_faces: Dict[int, object]
     sigma_cofaces: Dict[int, object]
-    ring: CoefficientRing
 
 
 def reduce_pair(S: SComplex, sigma: int, tau: int,
@@ -89,8 +65,7 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
             f"({sigma}, {tau}) is not a unit in {ring.name}")
     tau_faces = {xi: b for xi, b in faces[tau].items() if xi != sigma}
     sigma_cofaces = {eta: a for eta, a in sigma_row.items() if eta != tau}
-    step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces,
-                         ring)
+    step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces)
     S.remove_cell(sigma)
     S.remove_cell(tau)
     if grades is not None:
@@ -109,35 +84,6 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
                 row[xi] = value
                 cofaces[xi][eta] = value
     return step
-
-
-def projection_map(step: ReductionStep) -> ChainMap:
-    """Chain map from the pre-step complex onto the reduced one: kills
-    tau, rewrites sigma over the other faces of tau, fixes the rest."""
-    ring = step.ring
-    col = {xi: ring.neg(ring.div(b, step.pivot))
-           for xi, b in step.tau_faces.items()}
-    return ChainMap(ring, {step.sigma: col, step.tau: {}},
-                    default_identity=True)
-
-
-def inclusion_map(step: ReductionStep) -> ChainMap:
-    """Chain map from the reduced complex back: each surviving coface of
-    sigma picks up a tau correction, the rest is fixed."""
-    ring = step.ring
-    cols = {
-        eta: {eta: ring.one, step.tau: ring.neg(ring.div(a, step.pivot))}
-        for eta, a in step.sigma_cofaces.items()
-    }
-    return ChainMap(ring, cols, default_identity=True)
-
-
-def homotopy_map(step: ReductionStep) -> ChainMap:
-    """Degree +1 map with inclusion . projection = id - (dD + Dd):
-    sends sigma to tau / pivot and everything else to zero."""
-    ring = step.ring
-    col = {step.tau: ring.div(ring.one, step.pivot)}
-    return ChainMap(ring, {step.sigma: col}, default_identity=False)
 
 
 @dataclass
@@ -211,7 +157,7 @@ def reduce_all(S: SComplex, matching: MatchPartition,
     left unchanged.
     """
     pairs: List[Tuple[int, int]] = matching.pairs()
-    S = S.plain_copy() if isinstance(S, SimplicialComplex) else S.copy()
+    S = S.copy()
     grades = dict(grades) if grades is not None else None
     maps = None
     if with_maps:

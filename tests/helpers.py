@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import multimorse as mm
 from multimorse.complexes import ComplexError, SimplicialComplex
 from multimorse.matching import MatchingError
-from multimorse.oracle import OracleError, _thin
+from multimorse.oracle import OracleError
 from multimorse.rings import Integers
 
 # -- worked examples ----------------------------------------------------
@@ -42,6 +43,56 @@ def path_two_edges(ring=mm.GF2):
 
 def grades_of(values):
     return mm.MeasuringFunction([tuple(float(x) for x in g) for g in values])
+
+
+def cell_grade(S, f, c):
+    """Entry grade of a cell as the join of its vertex grades, taken one
+    vertex at a time: the reference for mm.entry_grades."""
+    w = S.verts[c]
+    g = f[w[0]]
+    for u in w[1:]:
+        g = tuple(max(x, y) for x, y in zip(g, f[u]))
+    return g
+
+
+def sublevel_cells(grades, alpha):
+    """Cells present at grade alpha."""
+    return {c for c, g in grades.items() if mm.leq(g, alpha)}
+
+
+def faces(S, c):
+    """Primary faces of c, as a set."""
+    return {t for t, _ in S.boundary(c)}
+
+
+def cofaces(S, c):
+    """Primary cofaces of c, as a set."""
+    return {s for s, _ in S.coboundary(c)}
+
+
+def cofaces_closure(S, c):
+    """All cells having c in their iterated boundary, c excluded."""
+    seen = set()
+    stack = [c]
+    while stack:
+        for s, _ in S.coboundary(stack.pop()):
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return seen
+
+
+def vertex_neighbors(S, vid):
+    """Vertex numbers joined to vid by an edge."""
+    edges = cofaces(S, S.cell_with_verts((vid,)))
+    return {u for e in edges for u in S.verts[e] if u != vid}
+
+
+def check_face_monotone(S, grades):
+    """True when every cell's grade dominates all of its faces' grades,
+    i.e. sublevel sets are closed under taking faces."""
+    return all(mm.leq(grades[t], grades[c])
+               for c in S.cells() for t, _ in S.boundary(c))
 
 
 # -- random corpus ------------------------------------------------------
@@ -77,14 +128,14 @@ def assert_matching_invariants(S, f, index, P):
     assert len(P.matched) == len(A)
     assert len(set(P.matched.values())) == len(P.matched)
     for s, t in P.matched.items():
-        assert t in S.primary_cofaces(s)
+        assert t in cofaces(S, s)
         assert S.ring.is_unit(S.incidence(t, s))
     assert mm.is_acyclic(mm.modified_hasse(S, P.matched))
     grades = mm.entry_grades(S, f)
     for s, t in P.matched.items():
         assert grades[s] == grades[t]
     for alpha in mm.critical_grades(grades):
-        inside = mm.sublevel_cells(grades, alpha)
+        inside = sublevel_cells(grades, alpha)
         for s, t in P.matched.items():
             if s in inside:
                 assert t in inside
@@ -95,7 +146,7 @@ def assert_max_index_laws(S, index, P):
     the maximum index unchanged."""
     for c in S.cells():
         top = mm.max_index(S, index, c)
-        for t in S.primary_faces(c):
+        for t, _ in S.boundary(c):
             assert mm.max_index(S, index, t) <= top
     for s, t in P.matched.items():
         assert mm.max_index(S, index, s) == mm.max_index(S, index, t)
@@ -137,14 +188,69 @@ def chain_add(ring, a, b):
     return out
 
 
+# -- per-step chain maps -------------------------------------------------
+#
+# The chain maps of one elementary reduction, read off its ReductionStep
+# and the ring of the complex it was taken from. They are the reference
+# that the composed maps of reduce_all are checked against.
+
+@dataclass
+class ChainMap:
+    """Sparse linear map given by columns for the generators where it
+    differs from the default (identity when default_identity, else 0)."""
+
+    ring: object
+    columns: dict
+    default_identity: bool = False
+
+    def image_of(self, g):
+        if g in self.columns:
+            return dict(self.columns[g])
+        if self.default_identity:
+            return {g: self.ring.one}
+        return {}
+
+    def apply(self, chain):
+        out = {}
+        for g, c in chain.items():
+            self.ring.axpy(out, c, self.image_of(g))
+        return out
+
+
+def projection_map(step, ring):
+    """Chain map from the pre-step complex onto the reduced one: kills
+    tau, rewrites sigma over the other faces of tau, fixes the rest."""
+    col = {xi: ring.neg(ring.div(b, step.pivot))
+           for xi, b in step.tau_faces.items()}
+    return ChainMap(ring, {step.sigma: col, step.tau: {}},
+                    default_identity=True)
+
+
+def inclusion_map(step, ring):
+    """Chain map from the reduced complex back: each surviving coface of
+    sigma picks up a tau correction, the rest is fixed."""
+    cols = {
+        eta: {eta: ring.one, step.tau: ring.neg(ring.div(a, step.pivot))}
+        for eta, a in step.sigma_cofaces.items()
+    }
+    return ChainMap(ring, cols, default_identity=True)
+
+
+def homotopy_map(step, ring):
+    """Degree +1 map with inclusion . projection = id - (dD + Dd):
+    sends sigma to tau / pivot and everything else to zero."""
+    col = {step.tau: ring.div(ring.one, step.pivot)}
+    return ChainMap(ring, {step.sigma: col})
+
+
 def assert_step_algebra(pre, post, step):
     """Exact chain-map identities of one elementary reduction step:
     projection . inclusion = id on the reduced complex, and
     id - inclusion . projection = dD + Dd cell by cell on the old one."""
     ring = pre.ring
-    pi = mm.projection_map(step)
-    iota = mm.inclusion_map(step)
-    D = mm.homotopy_map(step)
+    pi = projection_map(step, ring)
+    iota = inclusion_map(step, ring)
+    D = homotopy_map(step, ring)
     for g in post.cells():
         assert pi.apply(iota.image_of(g)) == {g: ring.one}
     for g in pre.cells():
@@ -262,14 +368,13 @@ def _ref_boundary_echelon(S, upper_cells, cell_set, fld, conv):
     return ech
 
 
-def reference_rank_table(S, grades, field=None, q_max=None, grid=None,
-                         max_grades=None):
+def reference_rank_table(S, grades, field=None, q_max=None, grid=None):
     fld, conv = _ref_field_view(S, field)
     if grid is None:
         grid = mm.critical_grades(grades)
-    grid = _thin(sorted(set(grid)), max_grades)
+    grid = sorted(set(grid))
     q_hi = S.max_dim if q_max is None else q_max
-    sublevels = {g: mm.sublevel_cells(grades, g) for g in grid}
+    sublevels = {g: sublevel_cells(grades, g) for g in grid}
     buckets = {g: _ref_by_dim(S, cells) for g, cells in sublevels.items()}
     cycles = {}
     borders = {}
@@ -322,8 +427,8 @@ def formula_persistent_rank(S, grades, alpha, beta, q, fld):
     to the rows of the q-cells of B outside A."""
     conv = fld.from_int if isinstance(S.ring, Integers) and fld != S.ring \
         else (lambda v: v)
-    cells_a = mm.sublevel_cells(grades, alpha)
-    cells_b = mm.sublevel_cells(grades, beta)
+    cells_a = sublevel_cells(grades, alpha)
+    cells_b = sublevel_cells(grades, beta)
 
     def column(c, keep):
         return {t: conv(v) for t, v in S.boundary(c)
@@ -400,8 +505,8 @@ def klein_bottle(n=4):
 
 # -- reference implementations ------------------------------------------
 # The complex builder and the matching as they were written before the
-# one-sweep versions in the package: a checked add_simplex_cell /
-# set_incidence per cell, and a SimplicialComplex per lower link. Tests
+# one-sweep versions in the package: a checked add_cell / set_incidence
+# per cell, and a SimplicialComplex per lower link. Tests
 # compare the package against them cell for cell and time them.
 
 def _reference_closure(simplices):
@@ -421,7 +526,9 @@ def reference_complex_from_simplices(simplices, ring=mm.GF2):
     out = SimplicialComplex(ring)
     plus, minus = ring.from_int(1), ring.from_int(-1)
     for w in _reference_closure(simplices):
-        c = out.add_simplex_cell(w)
+        c = out.add_cell(len(w) - 1)
+        out.verts[c] = w
+        out.cell_by_verts[w] = c
         for i in range(len(w)):
             if len(w) == 1:
                 break
@@ -444,7 +551,7 @@ def _reference_admission(f, index, variant):
 
 def _reference_link_of(S, vid, v_cell, admit):
     member = []
-    for rho in S.cofaces_closure(v_cell):
+    for rho in cofaces_closure(S, v_cell):
         w = tuple(u for u in S.verts[rho] if u != vid)
         if all(admit(u, vid) for u in w):
             member.append(w)

@@ -8,7 +8,8 @@ pass/fail line per criterion.
 4. per-step reduction algebra, zero tolerance
 5. benchmark triangle meshes: exact input counts, reduction ratio,
    sampled-submesh certification (skipped unless the meshes are present)
-6. linear scaling of matching time under mesh subdivision
+6. linear scaling of matching time under mesh subdivision, with a
+   deterministic companion that counts the cells the partition visits
 7. indexing validity on one thousand random grade sets
 8. maximum-vertex-index laws on every produced matching
 """
@@ -17,13 +18,14 @@ import functools
 import math
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import multimorse as mm
+from multimorse import matching
 
 import helpers
 
@@ -221,13 +223,35 @@ def test_criterion_6_matching_scales_linearly():
             best = min(best, time.perf_counter() - t0)
         sizes.append(len(S))
         times.append(best)
-    x = np.array(sizes, dtype=float)
-    y = np.array(times, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    r2 = 1.0 - np.sum((y - predicted) ** 2) / np.sum((y - y.mean()) ** 2)
+    slope, intercept = statistics.linear_regression(sizes, times)
+    mean = statistics.fmean(times)
+    residual = sum((y - (slope * x + intercept)) ** 2
+                   for x, y in zip(sizes, times))
+    r2 = 1.0 - residual / sum((y - mean) ** 2 for y in times)
     assert slope > 0
     assert r2 >= 0.98, f"sizes={sizes} times={times} r2={r2:.4f}"
+
+
+def test_criterion_6_partition_visits_are_linear_in_cells(monkeypatch):
+    # Each recursion level hands a cell, minus its apex, to a lower link,
+    # so a cell of dimension d is visited at most d + 1 times: the cells
+    # passed to _partition_core sum to at most sum(dim c + 1).
+    visits = [0]
+    core = matching._partition_core
+
+    def counted(cells, *args):
+        visits[0] += len(cells)
+        return core(cells, *args)
+
+    monkeypatch.setattr(matching, "_partition_core", counted)
+    for level in (2, 3, 4, 5):
+        mesh = helpers.sphere_mesh(level)
+        S = mm.mesh_complex(mesh)
+        f = mm.preset_abs_xy(mesh)
+        visits[0] = 0
+        mm.partition(S, f, mm.lex_indexing(f))
+        bound = sum(len(w) for w in S.verts.values())
+        assert 0 < visits[0] <= bound, (level, len(S), visits[0], bound)
 
 
 def test_criterion_7_indexing_validity():

@@ -54,36 +54,35 @@ def test_boundary_squares_to_zero():
 def test_faces_cofaces_transposed():
     S = helpers.random_complex(11)
     for c in S.cells():
-        for t in S.primary_faces(c):
-            assert c in S.primary_cofaces(t)
-            assert S.incidence(c, t) == dict(S.coboundary(t))[c]
+        for t, v in S.boundary(c):
+            assert S.incidence(c, t) == v == dict(S.coboundary(t))[c]
 
 
 def test_cofaces_closure():
     S = helpers.full_triangle()
-    assert S.cofaces_closure(0) == {3, 4, 6}
-    assert S.cofaces_closure(5) == {6}
-    assert S.cofaces_closure(6) == set()
+    assert helpers.cofaces_closure(S, 0) == {3, 4, 6}
+    assert helpers.cofaces_closure(S, 5) == {6}
+    assert helpers.cofaces_closure(S, 6) == set()
 
 
 def test_remove_cell_clears_incidences():
     S = helpers.full_triangle()
     S.remove_cell(6)
     S.remove_cell(3)
-    assert 3 not in S.primary_cofaces(0)
-    assert S.cofaces_closure(1) == {5}
+    assert helpers.cofaces(S, 0) == {4}
+    assert helpers.cofaces(S, 1) == {5}
+    assert helpers.faces(S, 5) == {1, 2}
     S.validate()
 
 
 def test_copy_is_independent():
     S = helpers.full_triangle(mm.INTEGERS)
     T = S.copy()
+    assert not isinstance(T, mm.SimplicialComplex)
+    assert T.cells() == S.cells()
     T.remove_cell(6)
     assert 6 in S and 6 not in T
     assert S.incidence(6, 5) == 1
-    plain = S.plain_copy()
-    assert not isinstance(plain, mm.SimplicialComplex)
-    assert plain.cells() == S.cells()
 
 
 def test_construction_errors():
@@ -156,7 +155,7 @@ def test_incidence_dimension_rule():
         S.set_incidence(t, v, 1)
     S.set_incidence(e, v, 2)
     S.set_incidence(e, v, 0)
-    assert S.primary_faces(e) == set()
+    assert dict(S.boundary(e)) == {}
 
 
 def test_set_incidence_normalizes_into_the_ring():
@@ -207,7 +206,7 @@ def test_hand_built_s_complex():
 
 def test_vertex_neighbors_and_subcomplex():
     S = helpers.full_triangle()
-    assert mm.vertex_neighbors(S, 0) == {1, 2}
+    assert helpers.vertex_neighbors(S, 0) == {1, 2}
     sub = mm.full_subcomplex(S, {0, 1})
     assert set(sub.verts.values()) == {(0,), (1,), (0, 1)}
     sub.validate()
@@ -237,4 +236,5 @@ def test_closure_of_random_simplices_is_closed():
     for c, w in S.verts.items():
         if len(w) > 1:
             for i in range(len(w)):
-                assert S.cell_with_verts(w[:i] + w[i + 1:]) in S.primary_faces(c)
+                assert S.cell_with_verts(w[:i] + w[i + 1:]) in \
+                    helpers.faces(S, c)

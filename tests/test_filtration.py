@@ -10,14 +10,12 @@ import helpers
 
 def test_order_comparisons():
     assert mm.leq((0.0, 0.0), (1.0, 1.0))
-    assert mm.lt((0.0, 0.0), (1.0, 1.0))
     assert mm.le_neq((0.0, 0.0), (1.0, 1.0))
     # incomparable pair
     assert not mm.leq((1.0, 0.0), (0.0, 1.0))
     assert not mm.leq((0.0, 1.0), (1.0, 0.0))
     # comparable but not strictly dominated everywhere
     assert mm.leq((1.0, 0.0), (1.0, 1.0))
-    assert not mm.lt((1.0, 0.0), (1.0, 1.0))
     assert mm.le_neq((1.0, 0.0), (1.0, 1.0))
     assert mm.leq((2.0, 3.0), (2.0, 3.0))
     assert not mm.le_neq((2.0, 3.0), (2.0, 3.0))
@@ -26,13 +24,14 @@ def test_order_comparisons():
 def test_arity_mismatch_rejected():
     with pytest.raises(GradeError):
         mm.leq((0.0,), (0.0, 1.0))
-    with pytest.raises(GradeError):
-        mm.join((1.0, 2.0, 3.0), (1.0, 2.0))
-
-
-def test_join():
-    assert mm.join((1.0, 0.0), (0.0, 1.0)) == (1.0, 1.0)
-    assert mm.join((2.0, 2.0), (1.0, 1.0)) == (2.0, 2.0)
+    # rank_table checks every grade's arity once, then compares the grid
+    # pairs unchecked
+    S = helpers.single_edge()
+    grades = {c: (0.0, 0.0) for c in S.cells()}
+    with pytest.raises(GradeError, match="arity mismatch 2 vs 3"):
+        mm.rank_table(S, grades, grid=[(1.0, 1.0, 1.0)])
+    with pytest.raises(GradeError, match="arity mismatch 3 vs 2"):
+        mm.rank_table(S, grades, grid=[(1.0, 1.0), (1.0, 1.0, 1.0)])
 
 
 def test_measuring_function_validation():
@@ -57,10 +56,10 @@ def test_measuring_function_validation():
 def test_cell_grade():
     S = helpers.triangle_boundary()
     f = helpers.grades_of(helpers.TRIANGLE_BOUNDARY_GRADES)
-    assert mm.cell_grade(S, f, 0) == (0.0, 0.0)
-    assert mm.cell_grade(S, f, 1) == (1.0, 0.0)
+    grades = mm.entry_grades(S, f)
     edge12 = S.cell_with_verts((1, 2))
-    assert mm.cell_grade(S, f, edge12) == (1.0, 1.0)
+    for c, want in ((0, (0.0, 0.0)), (1, (1.0, 0.0)), (edge12, (1.0, 1.0))):
+        assert helpers.cell_grade(S, f, c) == grades[c] == want
 
 
 def test_entry_grades_refuse_ungraded_vertices():
@@ -76,7 +75,7 @@ def test_entry_grades_equal_cell_grade():
         S = helpers.random_complex(seed)
         f = helpers.random_grades(seed, 12, k=seed + 1, levels=3)
         assert mm.entry_grades(S, f) == {
-            c: mm.cell_grade(S, f, c) for c in S.cells()}
+            c: helpers.cell_grade(S, f, c) for c in S.cells()}
 
 
 def test_entry_grades_monotone_and_membership():
@@ -84,11 +83,7 @@ def test_entry_grades_monotone_and_membership():
         S = helpers.random_complex(seed)
         f = helpers.random_grades(seed, 12)
         grades = mm.entry_grades(S, f)
-        assert mm.check_face_monotone(S, grades)
-        alpha = (1.0, 1.0)
-        inside = mm.sublevel_cells(grades, alpha)
-        for c in S.cells():
-            assert (c in inside) == mm.leq(grades[c], alpha)
+        assert helpers.check_face_monotone(S, grades)
 
 
 def test_sublevel_closed_under_faces():
@@ -97,9 +92,9 @@ def test_sublevel_closed_under_faces():
         f = helpers.random_grades(seed + 100, 12)
         grades = mm.entry_grades(S, f)
         for alpha in mm.critical_grades(grades):
-            inside = mm.sublevel_cells(grades, alpha)
+            inside = helpers.sublevel_cells(grades, alpha)
             for c in inside:
-                assert S.primary_faces(c) <= inside
+                assert helpers.faces(S, c) <= inside
 
 
 def test_critical_grades_sorted_dedup():
@@ -113,16 +108,5 @@ def test_critical_grades_sorted_dedup():
 def test_check_face_monotone_detects_violation():
     S = helpers.single_edge()
     bad = {0: (1.0, 1.0), 1: (1.0, 1.0), 2: (0.0, 0.0)}
-    assert not mm.check_face_monotone(S, bad)
+    assert not helpers.check_face_monotone(S, bad)
 
-
-def test_sublevel_cells_matches_leq_and_checks_arity():
-    for seed in range(5):
-        S = helpers.random_complex(seed)
-        grades = mm.entry_grades(S, helpers.random_grades(seed, 12, levels=3))
-        for alpha in mm.critical_grades(grades) + [(0.5, 2.0), (-1.0, 9.0)]:
-            assert mm.sublevel_cells(grades, alpha) == {
-                c for c, g in grades.items() if mm.leq(g, alpha)}
-    with pytest.raises(GradeError, match="arity mismatch 2 vs 3"):
-        mm.sublevel_cells({0: (0.0, 0.0)}, (1.0, 1.0, 1.0))
-    assert mm.sublevel_cells({}, (1.0,)) == set()

@@ -96,7 +96,7 @@ def test_partition_input_errors():
     S = helpers.single_edge()
     f = helpers.grades_of(helpers.EDGE_GRADES)
     with pytest.raises(MatchingError):
-        mm.partition(S.plain_copy(), f, [0, 1])
+        mm.partition(S.copy(), f, [0, 1])
     with pytest.raises(MatchingError):
         mm.partition(S, f, [0])
     with pytest.raises(MatchingError):
@@ -190,7 +190,7 @@ def test_modified_hasse_empty_matching_is_plain():
     S = helpers.full_triangle()
     adj = mm.modified_hasse(S, {})
     for u, targets in adj.items():
-        assert set(targets) == S.primary_faces(u)
+        assert set(targets) == helpers.faces(S, u)
     assert mm.is_acyclic(adj)
 
 

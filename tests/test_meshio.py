@@ -72,6 +72,10 @@ def test_extension_fallback_sniffs_off(tmp_path):
     ("OFF\n# c\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "bad face line 7$"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "bad face line 6$"),
     ("OFF 3 1 0\n\n0 0 0\n1 y 0\n0 1 0\n3 0 1 2\n", "bad vertex line 4$"),
+    ("OFF\n3 1 0\n0 0 0\n\n1 0 0\n0 1 0\n3 0 1 7\n",
+     r"line 7: index out of range \(7\)$"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n",
+     r"line 6: degenerate face \(0, 1, 1\)$"),
 ])
 def test_bad_off_files(tmp_path, body, complaint):
     path = tmp_path / "bad.off"
@@ -86,6 +90,15 @@ def test_bad_off_files(tmp_path, body, complaint):
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", "out of range"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "out of range"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf a b c\n", "bad face reference"),
+    # the 1-based file line, counting blank and comment lines
+    ("v 0 0 0\n# c\nv 1 0\nv 0 1 0\n", r"line 3: bad vertex line 'v 1 0'$"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 2 x\n",
+     r"line 5: bad face reference 'x'$"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 0 1 2\n",
+     r"line 5: index out of range \(0\)$"),
+    ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 1 2 4\n",
+     r"line 5: index out of range \(3\)$"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", r"line 4: non-triangle face"),
 ])
 def test_bad_obj_files(tmp_path, body, complaint):
     path = tmp_path / "bad.obj"

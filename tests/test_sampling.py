@@ -21,7 +21,7 @@ def _reference_ball(S, center, cell_limit):
     while frontier:
         ring_verts = set()
         for v in frontier:
-            ring_verts |= mm.vertex_neighbors(S, v)
+            ring_verts |= helpers.vertex_neighbors(S, v)
         ring_verts -= inside
         if not ring_verts:
             break
@@ -87,7 +87,7 @@ def test_samples_equal_full_subcomplex_growth(name):
 
 def test_samples_on_disconnected_mesh_with_isolated_vertex():
     S = _two_octahedra_and_a_point()
-    assert mm.vertex_neighbors(S, 12) == set()
+    assert helpers.vertex_neighbors(S, 12) == set()
     for seed in range(5):
         for cell_limit in (0, 1, 5, 400, len(S) + 1):
             # more draws than vertices: every vertex becomes a center
