@@ -133,8 +133,7 @@ def _match_vertex(v: int, link: List[Simplex],
                   critical: List[Simplex]) -> None:
     """Add what a vertex with a nonempty lower link contributes: its edge
     to the link's chosen critical vertex, then the link's other critical
-    cells in (dimension, vertices) order and the link's pairs, all
-    carried through the cone."""
+    cells and the link's pairs, all carried through the cone."""
     sub_matched, sub_critical = _partition_core(link, grades, index, admit)
     pool = [w[0] for w in sub_critical if len(w) == 1]
     if not pool:
@@ -148,7 +147,6 @@ def _match_vertex(v: int, link: List[Simplex],
             minimal.append(u)
     w0 = min(minimal, key=index.__getitem__)
     matched.append(((v,), _cone((w0,), v)))
-    sub_critical.sort(key=lambda w: (len(w), w))
     for w in sub_critical:
         if w != (w0,):
             critical.append(_cone(w, v))

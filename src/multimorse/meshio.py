@@ -63,15 +63,18 @@ def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
     if head[0] != "OFF":
         raise MeshFormatError(f"mesh: {name}: missing OFF header")
     if len(head) > 1:
-        counts, body = head[1:], numbered[1:]
+        at, counts, body = numbered[0][0], head[1:], numbered[1:]
     else:
         if len(numbered) < 2:
             raise MeshFormatError(f"mesh: {name}: missing count line")
-        counts, body = numbered[1][1].split(), numbered[2:]
+        (at, text), body = numbered[1], numbered[2:]
+        counts = text.split()
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (IndexError, ValueError):
-        raise MeshFormatError(f"mesh: {name}: bad count line") from None
+        nv = nf = -1
+    if nv < 0 or nf < 0:
+        raise MeshFormatError(f"mesh: {name}: bad count line {at}")
     if len(body) < nv + nf:
         raise MeshFormatError(
             f"mesh: {name}: expected {nv} vertices and {nf} faces")
@@ -97,16 +100,18 @@ def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
 
 
 def _checked_triangle(idx: Tuple[int, ...], n: int, nv: int, name: str,
-                      number: int) -> Tuple[int, int, int]:
+                      number: int, first: int = 0) -> Tuple[int, int, int]:
+    """Check a face's vertex indices, numbered from first as in the
+    file (and so in the messages), and return them numbered from 0."""
     where = f"mesh: {name}: line {number}"
     if n != 3 or len(idx) != 3:
         raise MeshFormatError(f"{where}: non-triangle face {idx}")
     if len(set(idx)) != 3:
         raise MeshFormatError(f"{where}: degenerate face {idx}")
     for v in idx:
-        if not 0 <= v < nv:
+        if not first <= v < nv + first:
             raise MeshFormatError(f"{where}: index out of range ({v})")
-    return idx  # type: ignore[return-value]
+    return tuple(v - first for v in idx)  # type: ignore[return-value]
 
 
 def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
@@ -128,16 +133,14 @@ def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
             for ref in refs:
                 head = ref.split("/", 1)[0]
                 try:
-                    i = int(head)
+                    idx.append(int(head))
                 except ValueError:
                     raise MeshFormatError(
                         f"{where}: bad face reference {ref!r}") from None
-                if i < 1:
-                    raise MeshFormatError(f"{where}: index out of range ({i})")
-                idx.append(i - 1)
             raw_faces.append((number, tuple(idx)))
         # every other OBJ directive (vt, vn, usemtl, ...) is ignored
-    faces = [_checked_triangle(idx, len(idx), len(vertices), name, number)
+    # OBJ counts vertices from 1, and a face may precede its vertices
+    faces = [_checked_triangle(idx, len(idx), len(vertices), name, number, 1)
              for number, idx in raw_faces]
     return Mesh(vertices, faces)
 

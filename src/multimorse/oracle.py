@@ -34,6 +34,9 @@ from .complexes import SComplex
 from .filtration import Grade, GradeError, critical_grades
 from .rings import RATIONALS, CoefficientRing, Integers
 
+_Vec = Dict[int, object]        # sparse vector: key -> nonzero coefficient
+_Rows = Dict[int, _Vec]         # vectors keyed by a cell or pivot
+
 
 class OracleError(ValueError):
     """Raised for unusable oracle inputs: non-field coefficients where a
@@ -41,48 +44,11 @@ class OracleError(ValueError):
     not closed under faces."""
 
 
-def _scaled(vec: Dict[int, object], c, fld: CoefficientRing) -> Dict[int, object]:
+def _scaled(vec: _Vec, c, fld: CoefficientRing) -> _Vec:
     """c * vec; vec itself (the caller's to give away) when c is one."""
     if c == fld.one:
         return vec
     return {k: fld.mul(c, v) for k, v in vec.items()}
-
-
-class _Echelon:
-    """Row space of inserted vectors; each stored row is normalized so
-    its largest-key entry (the pivot) has coefficient one. A base
-    echelon, when given, is read after the own rows and never
-    modified."""
-
-    def __init__(self, fld: CoefficientRing,
-                 base: Optional["_Echelon"] = None):
-        self.fld = fld
-        self.rows: Dict[int, Dict[int, object]] = {}
-        self.base = base.rows if base is not None else {}
-
-    def insert(self, vec: Dict[int, object]) -> bool:
-        """Add vec to the space; True when it was independent."""
-        fld = self.fld
-        vec = dict(vec)
-        while vec:
-            p = max(vec)
-            row = self.rows.get(p) or self.base.get(p)
-            if row is None:
-                self.rows[p] = _scaled(vec, fld.inv(vec[p]), fld)
-                return True
-            fld.axpy(vec, fld.neg(vec[p]), row)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _independent_count(vectors: List[Dict[int, object]], base: _Echelon,
-                       fld: CoefficientRing) -> int:
-    """How many of the vectors are independent modulo base."""
-    ech = _Echelon(fld, base)
-    return sum(ech.insert(v) for v in vectors)
 
 
 def _field_view(S: SComplex, field: Optional[CoefficientRing]
@@ -114,10 +80,10 @@ class _Columns:
     def __init__(self, S: SComplex, fld: CoefficientRing,
                  conv: Optional[Callable]):
         self.S, self.fld, self.conv = S, fld, conv
-        self.cache: Dict[int, Tuple[KeysView, Dict[int, object]]] = {}
+        self.cache: Dict[int, Tuple[KeysView, _Vec]] = {}
 
     def of(self, cells: Sequence[int], below: Set[int],
-           cleared: Container[int]) -> List[Tuple[int, Dict[int, object]]]:
+           cleared: Container[int]) -> List[Tuple[int, _Vec]]:
         """(cell, column) for each cell not in cleared; raises
         OracleError unless every face of every cell, cleared or not,
         lies in below."""
@@ -142,27 +108,30 @@ class _Columns:
         return out
 
 
-def _eliminate(cols: List[Tuple[int, Dict[int, object]]],
-               fld: CoefficientRing, track: bool
-               ) -> Tuple[Dict[int, Dict[int, object]], _Echelon]:
-    """Column-reduce the boundary columns of a set of q-cells, given in
-    ascending cell order. Returns the echelon of the (q-1)-boundaries,
-    built from the pivots, and, when track is set, a basis of the
-    q-cycles, built from the cell combinations that reduce to zero
-    (else none). Each cycle is keyed by the cell whose column
-    reduced to zero, which is also its largest cell: the combination
-    adds only cells that came before."""
-    ech = _Echelon(fld)
-    pivots = ech.rows
-    combs: Dict[int, Dict[int, object]] = {}
-    cycles: Dict[int, Dict[int, object]] = {}
+def _eliminate(cols: List[Tuple[int, _Vec]], fld: CoefficientRing,
+               track: bool, base: _Rows) -> Tuple[_Rows, _Rows]:
+    """Column-reduce cols, in order, modulo the rows of base, which is
+    only read. A column that does not reduce to zero becomes a new row,
+    stored under its largest key (its pivot) and scaled to one there;
+    only a pivot in neither dict is stored, so one lookup serves both.
+    Returns, when track is set (base must then be empty), each column
+    that reduced to zero as a combination of cols, keyed by its cell,
+    and the new rows.
+
+    On the boundary columns of some q-cells in ascending cell order,
+    the rows are the (q-1)-boundaries and the combinations a basis of
+    the q-cycles, each keyed by its largest cell: a combination adds
+    only cells that came before."""
+    pivots: _Rows = {}
+    combs: _Rows = {}
+    cycles: _Rows = {}
     axpy, neg, one = fld.axpy, fld.neg, fld.one
     for c, col in cols:
         vec = dict(col)
         comb = {c: one}
         while vec:
             p = max(vec)
-            row = pivots.get(p)
+            row = pivots.get(p) or base.get(p)
             if row is None:
                 inv = fld.inv(vec[p])
                 pivots[p] = _scaled(vec, inv, fld)
@@ -176,28 +145,25 @@ def _eliminate(cols: List[Tuple[int, Dict[int, object]]],
         else:
             if track:
                 cycles[c] = comb
-    return cycles, ech
+    return cycles, pivots
 
 
 def _top_down(columns: _Columns, levels: Sequence[Sequence[int]],
-              track_to: int
-              ) -> Iterator[Tuple[int, Dict[int, Dict[int, object]],
-                                  _Echelon]]:
+              track_to: int) -> Iterator[Tuple[int, _Rows, _Rows]]:
     """Eliminate levels[q], the q-cells of a face-closed cell set in
     ascending order, for q from the top down to 0, yielding q, the
-    q-cycles (for q <= track_to, else none) and the echelon of the
+    q-cycles (for q <= track_to, else none) and the pivot rows of the
     (q-1)-boundaries. The pivots of the (q+1)-boundaries are cleared
     from the q elimination: a reduced (q+1)-column with pivot c is a
     cycle whose largest cell is c, so the column of c reduces to zero
     and no other column changes. The cycles yielded are the homology
     representatives."""
-    cleared: Dict[int, Dict[int, object]] = {}
+    cleared: _Rows = {}
     for q in range(len(levels) - 1, -1, -1):
         below = set(levels[q - 1]) if q else set()
-        cycles, ech = _eliminate(columns.of(levels[q], below, cleared),
-                                 columns.fld, q <= track_to)
-        yield q, cycles, ech
-        cleared = ech.rows
+        cycles, cleared = _eliminate(columns.of(levels[q], below, cleared),
+                                     columns.fld, q <= track_to, {})
+        yield q, cycles, cleared
 
 
 def _check_arity(grid: Sequence[Grade], grades: Dict[int, Grade]) -> None:
@@ -332,8 +298,8 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     by_dim = [S.cells_of_dim(q) for q in range(top + 2)]
     # ranks[q] is the rank of the boundary map out of the q-chains
     ranks = [0] * (top + 2)
-    for q, _, ech in _top_down(_Columns(S, fld, conv), by_dim, -1):
-        ranks[q] = ech.rank
+    for q, _, pivots in _top_down(_Columns(S, fld, conv), by_dim, -1):
+        ranks[q] = len(pivots)
     betti = [len(by_dim[q]) - ranks[q] - ranks[q + 1]
              for q in range(top + 1)]
     torsion = ([_integer_torsion(S, q) for q in range(top + 1)]
@@ -370,31 +336,31 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     and the cycles that complete them to a basis of all cycles, its
     homology representatives. As B_q(alpha) lies in B_q(beta) for
     alpha <= beta, the rank of H_q(alpha) -> H_q(beta) counts the
-    representatives of alpha that stay independent modulo B_q(beta)."""
+    representatives of alpha that add a pivot over B_q(beta)."""
     fld, conv = _field_view(S, field)
     grid = critical_grades(grades if grid is None else grid)
     q_hi = S.max_dim if q_max is None else q_max
     _check_arity(grid, grades)
     buckets = _sublevel_buckets(S, grades, grid, q_hi + 1)
     columns = _Columns(S, fld, conv)
-    borders: Dict[Tuple[Grade, int], _Echelon] = {}
-    reps: Dict[Tuple[Grade, int], List[Dict[int, object]]] = {}
+    borders: Dict[Tuple[Grade, int], _Rows] = {}
+    reps: Dict[Tuple[Grade, int], List[Tuple[int, _Vec]]] = {}
     for alpha in grid:
         # cycles are needed up to q_hi; the level above gives the
         # boundaries of q_hi only
-        for q, cycles, ech in _top_down(columns, buckets[alpha], q_hi):
+        for q, cycles, pivots in _top_down(columns, buckets[alpha], q_hi):
             if q <= q_hi:
-                reps[alpha, q] = list(cycles.values())
+                reps[alpha, q] = list(cycles.items())
             if q:
-                borders[alpha, q - 1] = ech
+                borders[alpha, q - 1] = pivots
     table: Dict[Tuple[int, Grade, Grade], int] = {}
     for alpha in grid:
         for beta in grid:
             if not all(map(le, alpha, beta)):
                 continue
             for q in range(q_hi + 1):
-                table[q, alpha, beta] = _independent_count(
-                    reps[alpha, q], borders[beta, q], fld)
+                table[q, alpha, beta] = len(_eliminate(
+                    reps[alpha, q], fld, False, borders[beta, q])[1])
     return table
 
 
@@ -410,7 +376,6 @@ class EquivalenceReport:
     (q, grade, original's, reduction's) where the two differ."""
 
     ok: bool
-    q_max: int
     grid: List[Grade]
     ranks_original: Dict[Tuple[int, Grade, Grade], int]
     ranks_reduced: Dict[Tuple[int, Grade, Grade], int]
@@ -461,7 +426,6 @@ def _torsion_mismatches(S: SComplex, grades_s: Dict[int, Grade],
 
 def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
                        reduced: SComplex, grades_r: Dict[int, Grade],
-                       field: Optional[CoefficientRing] = None,
                        q_max: Optional[int] = None,
                        max_grades: Optional[int] = None
                        ) -> EquivalenceReport:
@@ -472,12 +436,12 @@ def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
     matrices."""
     grid = _thin(critical_grades(grades_s), max_grades)
     q_hi = max(S.max_dim, reduced.max_dim, 0) if q_max is None else q_max
-    t_orig = rank_table(S, grades_s, field, q_hi, grid)
-    t_red = rank_table(reduced, grades_r, field, q_hi, grid)
+    t_orig = rank_table(S, grades_s, None, q_hi, grid)
+    t_red = rank_table(reduced, grades_r, None, q_hi, grid)
     mismatches = [k for k in sorted(t_orig) if t_red.get(k) != t_orig[k]]
     torsion: List[Tuple[int, Grade, List[int], List[int]]] = []
     if isinstance(S.ring, Integers) and isinstance(reduced.ring, Integers):
         torsion = _torsion_mismatches(S, grades_s, reduced, grades_r, grid,
                                       q_hi)
-    return EquivalenceReport(not mismatches and not torsion, q_hi,
-                             list(grid), t_orig, t_red, mismatches, torsion)
+    return EquivalenceReport(not mismatches and not torsion, list(grid),
+                             t_orig, t_red, mismatches, torsion)

@@ -62,12 +62,6 @@ class RunConfig:
             raise PipelineError("run: --qmax must be >= 0")
 
 
-def make_index(config: RunConfig, f: MeasuringFunction) -> List[int]:
-    if config.indexing == "kahn":
-        return topo_sort_kahn(build_dag(f))
-    return lex_indexing(f)
-
-
 def _table(rows: List[Tuple[str, ...]]) -> str:
     """Right-aligned columns, two spaces apart."""
     widths = [max(map(len, col)) for col in zip(*rows)]
@@ -193,12 +187,11 @@ def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
 
 
 def run_verification(S: SimplicialComplex, f: MeasuringFunction,
-                     config: RunConfig) -> int:
+                     index: List[int], config: RunConfig) -> int:
     """Certify the reduction pipeline on S: whole-complex when it fits
     under the cell cap, else on sampled vertex-star submeshes (a valid
     indexing for f restricts to one for every submesh). Prints the
     report; returns 0 on PASS, 2 on any mismatch."""
-    index = make_index(config, f)
     if len(S) <= config.max_cells:
         report = _verify_one(S, f, index, config)
         for line in report.lines():
@@ -247,18 +240,20 @@ def run(config: RunConfig) -> int:
         return 0
     else:
         f = preset_abs_xy(mesh)
+    if config.indexing == "kahn":
+        index = topo_sort_kahn(build_dag(f))
+    else:
+        index = lex_indexing(f)
 
     if config.command == "sort":
-        index = make_index(config, f)
         for v in sorted(range(len(f)), key=index.__getitem__):
             text = " ".join(str(x) for x in f[v])
             print(f"{index[v]} {v} {text}")
         return 0
 
     if config.command == "verify":
-        return run_verification(S, f, config)
+        return run_verification(S, f, index, config)
 
-    index = make_index(config, f)
     P = partition(S, f, index, config.variant)
 
     if config.command == "match":

@@ -76,6 +76,12 @@ def test_extension_fallback_sniffs_off(tmp_path):
      r"line 7: index out of range \(7\)$"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n",
      r"line 6: degenerate face \(0, 1, 1\)$"),
+    ("OFF\n# c\nx y\n", "bad count line 3$"),
+    # negative counts would drop vertices or faces without a word
+    ("OFF\n-1 0 0\n0 0 0\n", "bad count line 2$"),
+    ("OFF\n-2 3 0\n0 0 0\n1 0 0\n0 1 0\n", "bad count line 2$"),
+    ("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "bad count line 2$"),
+    ("OFF -1 0 0\n", "bad count line 1$"),
 ])
 def test_bad_off_files(tmp_path, body, complaint):
     path = tmp_path / "bad.off"
@@ -97,7 +103,9 @@ def test_bad_off_files(tmp_path, body, complaint):
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 0 1 2\n",
      r"line 5: index out of range \(0\)$"),
     ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 1 2 4\n",
-     r"line 5: index out of range \(3\)$"),
+     r"line 5: index out of range \(4\)$"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n",
+     r"line 4: degenerate face \(1, 2, 2\)$"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", r"line 4: non-triangle face"),
 ])
 def test_bad_obj_files(tmp_path, body, complaint):

@@ -219,7 +219,7 @@ def test_report_flags_exactly_the_mismatched_lines():
     red[0, g0, g1] = 3
     red[1, g1, g1] = 0
     bad = [(0, g0, g1), (1, g1, g1)]
-    report = EquivalenceReport(False, 1, [g0, g1], orig, red, bad)
+    report = EquivalenceReport(False, [g0, g1], orig, red, bad)
     assert report.lines() == [
         "RANK 0 0.0,0.0 0.0,0.0 1",
         "RANK 0 0.0,0.0 1.0,1.0 1 != 3 MISMATCH",
