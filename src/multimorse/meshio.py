@@ -17,7 +17,7 @@ from typing import Dict, List, Set, Tuple
 
 from .complexes import (ComplexError, SComplex, SimplicialComplex,
                         build_simplicial)
-from .filtration import Grade, MeasuringFunction
+from .filtration import Grade, GradeError, MeasuringFunction
 from .rings import GF2, CoefficientRing
 
 
@@ -128,15 +128,17 @@ def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
                 raise MeshFormatError(
                     f"{where}: bad vertex line {line!r}") from None
         elif parts[0] == "f":
-            refs = parts[1:]
             idx = []
-            for ref in refs:
-                head = ref.split("/", 1)[0]
+            for ref in parts[1:]:
                 try:
-                    idx.append(int(head))
+                    v = int(ref.split("/", 1)[0])
                 except ValueError:
                     raise MeshFormatError(
                         f"{where}: bad face reference {ref!r}") from None
+                # -1 is the last vertex read so far; one reaching before
+                # the first is kept as written, to be reported so
+                idx.append(len(vertices) + 1 + v if -len(vertices) <= v < 0
+                           else v)
             raw_faces.append((number, tuple(idx)))
         # every other OBJ directive (vt, vn, usemtl, ...) is ignored
     # OBJ counts vertices from 1, and a face may precede its vertices
@@ -159,14 +161,22 @@ def read_mesh(path: str) -> Mesh:
 
 
 def read_values(path: str) -> MeasuringFunction:
-    """Read a values file: one line per vertex, k numbers per line."""
-    grades = []
+    """Read a values file: one line per vertex, k finite numbers per
+    line, k set by the first."""
+    grades: List[Grade] = []
     for number, line in _numbered_lines(_read_text(path)):
         try:
-            grades.append(tuple(float(x) for x in line.split()))
+            g = tuple(float(x) for x in line.split())
         except ValueError:
             raise MeshFormatError(
                 f"mesh: {path}: bad values line {number}") from None
+        if grades and len(g) != len(grades[0]):
+            raise GradeError(f"grades: {path}: line {number} has arity "
+                             f"{len(g)}, expected {len(grades[0])}")
+        if not all(map(math.isfinite, g)):
+            raise GradeError(
+                f"grades: {path}: non-finite component on line {number}")
+        grades.append(g)
     return MeasuringFunction(grades)
 
 

@@ -12,14 +12,15 @@ of a reduced (q+1)-column is left out of the q elimination (clearing,
 after Chen & Kerber, "Persistent homology computation with a twist"):
 its column would reduce to zero and give a boundary. Over a field this
 is exact for any chain complex whose boundary squares to zero, whatever
-the cell order; the face-closure check still runs on every cell. Each
-cell's boundary column is converted once per table. The cycles left
-are the homology representatives of alpha, and the rank of
-H_q(alpha) -> H_q(beta) is the number of them that stay independent
-modulo the boundaries at beta. Integer homology (Betti numbers plus
-torsion) goes through a Smith normal form; when both complexes are over
-the integers, verify_equivalence also compares the torsion of their
-sublevel complexes.
+the cell order. Ranks are over the complex's own field, or Q for an
+integer complex, whose entries are exact in Fraction arithmetic, so
+boundary columns are read as they are. A table first checks, once, that
+every face is graded at or below its cell. The cycles left are the
+homology representatives of alpha, and the rank of H_q(alpha) ->
+H_q(beta) is the number of them that stay independent modulo the
+boundaries at beta. Integer homology (Betti numbers plus torsion) goes
+through a Smith normal form; when both complexes are over the integers,
+verify_equivalence also compares the torsion of their sublevel complexes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le
-from typing import (Callable, Container, Dict, Iterator, KeysView, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import Dict, ItemsView, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import SComplex
 from .filtration import Grade, GradeError, critical_grades
@@ -39,9 +39,9 @@ _Rows = Dict[int, _Vec]         # vectors keyed by a cell or pivot
 
 
 class OracleError(ValueError):
-    """Raised for unusable oracle inputs: non-field coefficients where a
-    field is required, a grid limit below one, or sublevel sets that are
-    not closed under faces."""
+    """Raised for unusable oracle inputs: coefficients the complex's
+    ring cannot be read in, a grid limit below one, or a face graded
+    outside its cell's sublevel sets."""
 
 
 def _scaled(vec: _Vec, c, fld: CoefficientRing) -> _Vec:
@@ -51,69 +51,14 @@ def _scaled(vec: _Vec, c, fld: CoefficientRing) -> _Vec:
     return {k: fld.mul(c, v) for k, v in vec.items()}
 
 
-def _field_view(S: SComplex, field: Optional[CoefficientRing]
-                ) -> Tuple[CoefficientRing, Optional[Callable]]:
-    """Resolve the field to compute over and the coefficient coercion,
-    None when the complex's own values serve.
-
-    Integer-coefficient complexes default to the rationals; a complex
-    over a field must be computed over that same field."""
-    ring = S.ring
-    if field is None:
-        fld = ring if ring.is_field else RATIONALS
-    else:
-        fld = field
-    if not fld.is_field:
-        raise OracleError("oracle: rank computations need field coefficients")
-    if fld == ring:
-        return fld, None
-    if isinstance(ring, Integers):
-        return fld, fld.from_int
-    raise OracleError(
-        f"oracle: cannot view {ring.name} coefficients in {fld.name}")
-
-
-class _Columns:
-    """Boundary columns over the computing field, each converted and
-    stripped of zeros once, however many sublevel sets hold its cell."""
-
-    def __init__(self, S: SComplex, fld: CoefficientRing,
-                 conv: Optional[Callable]):
-        self.S, self.fld, self.conv = S, fld, conv
-        self.cache: Dict[int, Tuple[KeysView, _Vec]] = {}
-
-    def of(self, cells: Sequence[int], below: Set[int],
-           cleared: Container[int]) -> List[Tuple[int, _Vec]]:
-        """(cell, column) for each cell not in cleared; raises
-        OracleError unless every face of every cell, cleared or not,
-        lies in below."""
-        out = []
-        cache = self.cache
-        for c in cells:
-            entry = cache.get(c)
-            if entry is None:
-                col = dict(self.S.boundary(c))
-                faces = col.keys()
-                if self.conv is not None:
-                    zero, conv = self.fld.zero, self.conv
-                    col = {t: w for t, w in zip(col, map(conv, col.values()))
-                           if w != zero}
-                entry = cache[c] = (faces, col)
-            if not entry[0] <= below:
-                t = next(t for t in entry[0] if t not in below)
-                raise OracleError(
-                    f"oracle: face {t} of cell {c} missing from sublevel set")
-            if c not in cleared:
-                out.append((c, entry[1]))
-        return out
-
-
-def _eliminate(cols: List[Tuple[int, _Vec]], fld: CoefficientRing,
-               track: bool, base: _Rows) -> Tuple[_Rows, _Rows]:
-    """Column-reduce cols, in order, modulo the rows of base, which is
-    only read. A column that does not reduce to zero becomes a new row,
-    stored under its largest key (its pivot) and scaled to one there;
-    only a pivot in neither dict is stored, so one lookup serves both.
+def _eliminate(cols: List[Tuple[int, _Vec | ItemsView[int, object]]],
+               fld: CoefficientRing, track: bool, base: _Rows
+               ) -> Tuple[_Rows, _Rows]:
+    """Column-reduce cols (each a vector or its items, copied, never
+    changed), in order, modulo the rows of base, which is only read. A
+    column that does not reduce to zero becomes a new row, stored under
+    its largest key (its pivot) and scaled to one there; only a pivot
+    in neither dict is stored, so one lookup serves both.
     Returns, when track is set (base must then be empty), each column
     that reduced to zero as a combination of cols, keyed by its cell,
     and the new rows.
@@ -148,8 +93,9 @@ def _eliminate(cols: List[Tuple[int, _Vec]], fld: CoefficientRing,
     return cycles, pivots
 
 
-def _top_down(columns: _Columns, levels: Sequence[Sequence[int]],
-              track_to: int) -> Iterator[Tuple[int, _Rows, _Rows]]:
+def _top_down(S: SComplex, fld: CoefficientRing,
+              levels: Sequence[Sequence[int]], track_to: int
+              ) -> Iterator[Tuple[int, _Rows, _Rows]]:
     """Eliminate levels[q], the q-cells of a face-closed cell set in
     ascending order, for q from the top down to 0, yielding q, the
     q-cycles (for q <= track_to, else none) and the pivot rows of the
@@ -160,19 +106,31 @@ def _top_down(columns: _Columns, levels: Sequence[Sequence[int]],
     representatives."""
     cleared: _Rows = {}
     for q in range(len(levels) - 1, -1, -1):
-        below = set(levels[q - 1]) if q else set()
-        cycles, cleared = _eliminate(columns.of(levels[q], below, cleared),
-                                     columns.fld, q <= track_to, {})
+        cycles, cleared = _eliminate(
+            [(c, S.boundary(c)) for c in levels[q] if c not in cleared],
+            fld, q <= track_to, {})
         yield q, cycles, cleared
 
 
-def _check_arity(grid: Sequence[Grade], grades: Dict[int, Grade]) -> None:
+def _check_grades(S: SComplex, grades: Dict[int, Grade],
+                  grid: Sequence[Grade], top: int) -> None:
+    """Raise GradeError unless the grid and the grades share one arity,
+    and OracleError unless each face of a graded cell of dimension up to
+    top is graded at or below it, so sublevel sets are face-closed."""
     if not grid:
         return
     n = len(grid[0])
     for g in (*grid, *grades.values()):
         if len(g) != n:
             raise GradeError(f"grades: arity mismatch {len(g)} vs {n}")
+    for c, g in grades.items():
+        if S.dim(c) > top:
+            continue
+        for t, _ in S.boundary(c):
+            h = grades.get(t)
+            if h is None or not all(map(le, h, g)):
+                raise OracleError(f"oracle: face {t} of cell {c} is not "
+                                  f"graded at or below it")
 
 
 def _sublevel_buckets(S: SComplex, grades: Dict[int, Grade],
@@ -283,22 +241,23 @@ def _smith_diagonal(m: List[List[int]]) -> List[int]:
 
 def homology(S: SComplex, ring: Optional[CoefficientRing] = None
              ) -> HomologyRanks:
-    """Homology ranks of the whole complex over the given ring (default:
-    the complex's own ring). Field coefficients give Betti numbers;
-    integer coefficients also give torsion."""
-    target = ring if ring is not None else S.ring
-    with_torsion = isinstance(target, Integers)
-    if with_torsion and not isinstance(S.ring, Integers):
+    """Homology ranks of the whole complex over its own ring (the
+    default) or, for an integer complex, over Q. Field coefficients give
+    Betti numbers; integer coefficients also give torsion. For Z/p ranks
+    of an integer complex, build it over Z/p."""
+    ring = S.ring if ring is None else ring
+    fld = S.ring if S.ring.is_field else RATIONALS
+    if ring not in (S.ring, fld):
         raise OracleError(
-            f"oracle: cannot view {S.ring.name} coefficients in z")
-    fld, conv = _field_view(S, None if with_torsion else target)
+            f"oracle: cannot view {S.ring.name} coefficients in {ring.name}")
+    with_torsion = isinstance(ring, Integers)
     top = S.max_dim
     if top < 0:
         return HomologyRanks([], [] if with_torsion else None)
     by_dim = [S.cells_of_dim(q) for q in range(top + 2)]
     # ranks[q] is the rank of the boundary map out of the q-chains
     ranks = [0] * (top + 2)
-    for q, _, pivots in _top_down(_Columns(S, fld, conv), by_dim, -1):
+    for q, _, pivots in _top_down(S, fld, by_dim, -1):
         ranks[q] = len(pivots)
     betti = [len(by_dim[q]) - ranks[q] - ranks[q + 1]
              for q in range(top + 1)]
@@ -323,13 +282,12 @@ def _thin(grid: List[Grade], max_grades: Optional[int]) -> List[Grade]:
 
 
 def rank_table(S: SComplex, grades: Dict[int, Grade],
-               field: Optional[CoefficientRing] = None,
                q_max: Optional[int] = None,
                grid: Optional[Sequence[Grade]] = None
                ) -> Dict[Tuple[int, Grade, Grade], int]:
     """Persistent ranks for every ordered pair of grid grades and every
-    dimension up to q_max. The default grid is the complex's distinct
-    entry grades.
+    dimension up to q_max, over the complex's own field or, for an
+    integer complex, Q. The default grid is its distinct entry grades.
 
     Each grid grade alpha costs one elimination per dimension, from the
     top down with clearing, which gives both its boundaries B_q(alpha)
@@ -337,18 +295,17 @@ def rank_table(S: SComplex, grades: Dict[int, Grade],
     homology representatives. As B_q(alpha) lies in B_q(beta) for
     alpha <= beta, the rank of H_q(alpha) -> H_q(beta) counts the
     representatives of alpha that add a pivot over B_q(beta)."""
-    fld, conv = _field_view(S, field)
+    fld = S.ring if S.ring.is_field else RATIONALS
     grid = critical_grades(grades if grid is None else grid)
     q_hi = S.max_dim if q_max is None else q_max
-    _check_arity(grid, grades)
+    _check_grades(S, grades, grid, q_hi + 1)
     buckets = _sublevel_buckets(S, grades, grid, q_hi + 1)
-    columns = _Columns(S, fld, conv)
     borders: Dict[Tuple[Grade, int], _Rows] = {}
     reps: Dict[Tuple[Grade, int], List[Tuple[int, _Vec]]] = {}
     for alpha in grid:
         # cycles are needed up to q_hi; the level above gives the
         # boundaries of q_hi only
-        for q, cycles, pivots in _top_down(columns, buckets[alpha], q_hi):
+        for q, cycles, pivots in _top_down(S, fld, buckets[alpha], q_hi):
             if q <= q_hi:
                 reps[alpha, q] = list(cycles.items())
             if q:
@@ -436,8 +393,8 @@ def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
     matrices."""
     grid = _thin(critical_grades(grades_s), max_grades)
     q_hi = max(S.max_dim, reduced.max_dim, 0) if q_max is None else q_max
-    t_orig = rank_table(S, grades_s, None, q_hi, grid)
-    t_red = rank_table(reduced, grades_r, None, q_hi, grid)
+    t_orig = rank_table(S, grades_s, q_hi, grid)
+    t_red = rank_table(reduced, grades_r, q_hi, grid)
     mismatches = [k for k in sorted(t_orig) if t_red.get(k) != t_orig[k]]
     torsion: List[Tuple[int, Grade, List[int], List[int]]] = []
     if isinstance(S.ring, Integers) and isinstance(reduced.ring, Integers):

@@ -487,7 +487,7 @@ def wedge_with_cells(m):
     return S
 
 
-def klein_bottle(n=4):
+def klein_bottle(n=4, ring=mm.INTEGERS):
     """n x n grid with its sides glued as a Klein bottle: vertex
     i * n + j at (i, j); (n, j) is glued to (0, -j)."""
     def vertex(i, j):
@@ -500,7 +500,7 @@ def klein_bottle(n=4):
             a, b = vertex(i, j), vertex(i + 1, j)
             c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
             faces.extend([(a, b, c), (a, c, d)])
-    return mm.build_simplicial(n * n, faces, mm.INTEGERS)
+    return mm.build_simplicial(n * n, faces, ring)
 
 
 # -- reference implementations ------------------------------------------

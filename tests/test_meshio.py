@@ -46,6 +46,14 @@ def test_read_obj(tmp_path):
     mesh = mm.read_mesh(str(path))
     assert len(mesh.vertices) == 3
     assert mesh.faces == [(0, 1, 2)]
+    # a negative reference counts back from the last vertex read so far
+    verts = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+    for faces, want in (("f -3 -2 -1\n", [(0, 1, 2)]),
+                        ("f 1 -2/1 -1//2\n", [(0, 1, 2)]),
+                        ("f -3 -2 -1\nv 1 1 0\nf -1 -2 1\n",
+                         [(0, 1, 2), (3, 2, 0)])):
+        path.write_text(verts + faces)
+        assert mm.read_mesh(str(path)).faces == want, faces
 
 
 def test_extension_fallback_sniffs_off(tmp_path):
@@ -107,6 +115,11 @@ def test_bad_off_files(tmp_path, body, complaint):
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n",
      r"line 4: degenerate face \(1, 2, 2\)$"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", r"line 4: non-triangle face"),
+    # a relative reference reaching before the first vertex, as written
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -4 -2 -1\n",
+     r"line 4: index out of range \(-4\)$"),
+    ("v 0 0 0\nv 1 0 0\nf -2 -1 -3\nv 0 1 0\n",
+     r"line 3: index out of range \(-3\)$"),
 ])
 def test_bad_obj_files(tmp_path, body, complaint):
     path = tmp_path / "bad.obj"
@@ -159,6 +172,16 @@ def test_read_values(tmp_path):
     ragged.write_text("0 1\n2\n")
     with pytest.raises(mm.GradeError):
         mm.read_values(str(ragged))
+    # arity and finiteness are checked per line, naming the file's line
+    ragged.write_text("0 1\n2 3\n# c\n3 4 5\n")
+    with pytest.raises(mm.GradeError,
+                       match=r"ragged\.txt: line 4 has arity 3, expected 2$"):
+        mm.read_values(str(ragged))
+    for text in ("nan", "1e999", "-inf"):
+        bad.write_text(f"0 1\n\n1 {text}\n")
+        with pytest.raises(mm.GradeError,
+                           match=r"bad\.txt: non-finite component on line 3$"):
+            mm.read_values(str(bad))
 
 
 def test_mesh_complex_counts():

@@ -44,7 +44,11 @@ def test_projective_plane_across_rings():
     assert len(S.cells_of_dim(2)) == 10
     for e in S.cells_of_dim(1):
         assert len(S.coboundary(e)) == 2
-    assert mm.homology(S, mm.GF2).betti == [1, 1, 1]
+    gf2 = mm.build_simplicial(6, [list(f) for f in PROJECTIVE_PLANE_FACES],
+                              mm.GF2)
+    assert mm.homology(gf2).betti == [1, 1, 1]
+    with pytest.raises(OracleError, match="cannot view z coefficients in z2"):
+        mm.homology(S, mm.GF2)
     assert mm.homology(S, mm.RATIONALS).betti == [1, 0, 0]
     ranks = mm.homology(S, mm.INTEGERS)
     assert ranks.betti == [1, 0, 0]
@@ -141,10 +145,12 @@ def test_coefficient_views():
     with pytest.raises(OracleError):
         mm.homology(helpers.triangle_boundary(mm.RATIONALS), mm.get_ring("z"))
     z = helpers.triangle_boundary(mm.INTEGERS)
-    assert mm.homology(z, mm.GF2).betti == [1, 1]
+    with pytest.raises(OracleError):
+        mm.homology(z, mm.GF2)
     assert mm.homology(z, mm.RATIONALS).betti == [1, 1]
     assert mm.homology(z).torsion == [[], []]
-    assert mm.homology(z, mm.get_ring("z5")).betti == [1, 1]
+    with pytest.raises(OracleError):
+        mm.homology(z, mm.get_ring("z5"))
 
 
 def test_face_closure_guard():
@@ -156,14 +162,14 @@ def test_face_closure_guard():
         mm.rank_table(S, grades, q_max=0, grid=[(0.0, 0.0)])
     with pytest.raises(OracleError):
         mm.rank_table(S, grades)
-    # Edge 3 = (0, 1) at (0, 0), vertex 1 at (0, 2): the first grid grade
-    # holds both, so the edge's column is cached there; the second holds
-    # the edge without vertex 1, and the cached column must still be
-    # checked against it.
+    # Edge 3 = (0, 1) at (0, 0), vertex 1 at (0, 2): the grid grade
+    # (0, 2) holds both, (1, 1) the edge alone; the grades are refused
+    # whatever the grid.
     grades = {0: (0.0, 0.0), 1: (0.0, 2.0), 2: (0.0, 0.0),
               3: (0.0, 0.0), 4: (0.0, 0.0), 5: (0.0, 2.0)}
     first, second = (0.0, 2.0), (1.0, 1.0)
-    assert mm.rank_table(S, grades, grid=[first])
+    with pytest.raises(OracleError, match="face 1 of cell 3"):
+        mm.rank_table(S, grades, grid=[first])
     with pytest.raises(OracleError, match="face 1 of cell 3"):
         mm.rank_table(S, grades, grid=[first, second])
     with pytest.raises(OracleError):
@@ -281,11 +287,11 @@ def test_rank_table_matches_reference():
     # reduce_all outputs over q and z are cell complexes, not simplicial
     # ones; shuffling their ids also breaks every link between id order
     # and dimension, the general case of the oracle's top-down clearing
-    cases = [(helpers.klein_bottle(), [None, mm.GF2]),
-             (helpers.random_complex(5, n_top=16, ring=mm.INTEGERS),
-              [None, mm.get_ring("z3")]),
-             (helpers.random_complex(6, n_top=16, ring=mm.RATIONALS), [None])]
-    for S, fields in cases:
+    cases = [helpers.klein_bottle(), helpers.klein_bottle(ring=mm.GF2),
+             helpers.random_complex(5, n_top=16, ring=mm.INTEGERS),
+             helpers.random_complex(5, n_top=16, ring=mm.get_ring("z3")),
+             helpers.random_complex(6, n_top=16, ring=mm.RATIONALS)]
+    for S in cases:
         n = len(S.cells_of_dim(0))
         for variant, tied in (("strict", False), ("weak", True)):
             f = _random_case_grades(rng, n, 2, tied)
@@ -297,11 +303,9 @@ def test_rank_table_matches_reference():
                               _shuffled_ids(result.complex, result.grades,
                                             rng)):
                 grid = _thin(mm.critical_grades(grades), 12)
-                for field in fields:
-                    assert mm.rank_table(C, grades, field, grid=grid) == \
-                        helpers.reference_rank_table(C, grades, field,
-                                                     grid=grid), \
-                        (S.ring, variant, field)
+                assert mm.rank_table(C, grades, grid=grid) == \
+                    helpers.reference_rank_table(C, grades, grid=grid), \
+                    (S.ring, variant)
 
 
 def _shuffled_ids(S, grades, rng):
@@ -318,8 +322,8 @@ def _shuffled_ids(S, grades, rng):
 
 
 def test_rank_table_matches_reference_over_a_viewing_field():
-    # integer incidences 2 and 3 vanish over z2 and z3: the converted
-    # columns drop them, the face check still sees them
+    # integer incidences 2 and 3, not units over z, are read as they are
+    # and eliminated over q
     rng = random.Random(4)
     for _ in range(12):
         m = [[rng.choice([0, 1, -1, 2, 3, -2]) for _ in range(3)]
@@ -332,15 +336,14 @@ def test_rank_table_matches_reference_over_a_viewing_field():
             below = [grades[t] for t, _ in S.boundary(c)] + [(0.0, 0.0)]
             grades[c] = tuple(max(g[i] for g in below) + rng.randint(0, 1)
                               for i in range(2))
-        for field in (None, mm.GF2, mm.get_ring("z3"), mm.RATIONALS):
-            assert mm.rank_table(S, grades, field) == \
-                helpers.reference_rank_table(S, grades, field), (m, field)
-    # a disk on a loop of degree 2, entering before the loop: its z2
-    # column is empty, yet the loop is a face missing from the sublevel set
+        assert mm.rank_table(S, grades) == \
+            helpers.reference_rank_table(S, grades), m
+    # a disk on a loop of degree 2, entering before the loop: the loop is
+    # a face graded above its cell
     S = helpers.wedge_with_cells([[2]])
     grades = {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (0.0, 0.0)}
     with pytest.raises(OracleError, match="face 1 of cell 2"):
-        mm.rank_table(S, grades, mm.GF2)
+        mm.rank_table(S, grades)
 
 
 def test_torsion_matches_determinantal_divisors():
@@ -363,7 +366,7 @@ def test_torsion_of_known_spaces():
     assert len(klein) == 16 + 48 + 32
     for e in klein.cells_of_dim(1):
         assert len(klein.coboundary(e)) == 2
-    assert mm.homology(klein, mm.GF2).betti == [1, 2, 1]
+    assert mm.homology(helpers.klein_bottle(ring=mm.GF2)).betti == [1, 2, 1]
     ranks = mm.homology(klein, mm.INTEGERS)
     assert ranks.betti == [1, 1, 0]
     assert ranks.torsion == [[], [2], []]
@@ -436,7 +439,8 @@ def test_rank_table_cost_against_reference():
 
     def run(table_fn):
         t0 = time.perf_counter()
-        tables = [table_fn(C, g, None, q, grid) for C, g, grid, q in work]
+        tables = [table_fn(C, g, q_max=q, grid=grid)
+                  for C, g, grid, q in work]
         return time.perf_counter() - t0, tables
 
     best_new = best_ref = float("inf")

@@ -1,0 +1,53 @@
+"""Property tests of the rank oracle over random complexes and grades:
+ties, k from 1 to 4, and the rings z2, q, z and z5."""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import multimorse as mm
+from multimorse.oracle import OracleError, _thin
+
+import helpers
+
+RINGS = [mm.GF2, mm.RATIONALS, mm.INTEGERS, mm.get_ring("z5")]
+N_VERTICES = 10
+
+
+@st.composite
+def graded_complexes(draw):
+    ring = draw(st.sampled_from(RINGS))
+    S = helpers.random_complex(draw(st.integers(0, 10 ** 6)), N_VERTICES,
+                               n_top=8, ring=ring)
+    k = draw(st.integers(1, 4))
+    level = st.integers(0, 2).map(float)
+    f = mm.MeasuringFunction(draw(st.lists(
+        st.tuples(*[level] * k), min_size=N_VERTICES, max_size=N_VERTICES)))
+    return S, f, draw(st.sampled_from(["strict", "weak"]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(graded_complexes(), st.data())
+def test_oracle_properties(case, data):
+    S, f, variant = case
+    grades = mm.entry_grades(S, f)
+    red = mm.reduce_all(S, mm.partition(S, f, mm.lex_indexing(f), variant),
+                        grades=grades)
+    grid = _thin(mm.critical_grades(grades), 6)
+    # the table agrees with the reference, on the input and on its
+    # reduction
+    for C, g in ((S, grades), (red.complex, red.grades)):
+        assert mm.rank_table(C, g, grid=grid) == \
+            helpers.reference_rank_table(C, g, grid=grid)
+    assert mm.verify_equivalence(S, grades, red.complex, red.grades,
+                                 max_grades=6).ok
+    # a cell lowered below one of its faces is refused, whatever the grid
+    cells = [c for c in S.cells() if S.dim(c) > 0]
+    assume(cells)
+    c = data.draw(st.sampled_from(cells))
+    t = data.draw(st.sampled_from(sorted(t for t, _ in S.boundary(c))))
+    i = data.draw(st.integers(0, f.k - 1))
+    lowered = dict(grades)
+    lowered[c] = tuple(x - 1.0 if j == i else x
+                       for j, x in enumerate(grades[t]))
+    with pytest.raises(OracleError, match=f"of cell {c} "):
+        mm.rank_table(S, lowered, grid=grid)
