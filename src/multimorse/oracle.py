@@ -40,8 +40,9 @@ _Rows = Dict[int, _Vec]         # vectors keyed by a cell or pivot
 
 class OracleError(ValueError):
     """Raised for unusable oracle inputs: coefficients the complex's
-    ring cannot be read in, a grid limit below one, or a face graded
-    outside its cell's sublevel sets."""
+    ring cannot be read in, a grid limit below one, a face graded
+    outside its cell's sublevel sets, or a reduction that is the
+    original itself."""
 
 
 def _scaled(vec: _Vec, c, fld: CoefficientRing) -> _Vec:
@@ -390,7 +391,12 @@ def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
     grid of the original's entry grades, and when both are over the
     integers also the torsion of their sublevel complexes at each grid
     grade. Both sides are computed independently from boundary
-    matrices."""
+    matrices. The reduction must be a separate object from the
+    original, complex and grades alike: reduce_all works in place, and
+    a complex compared with itself would always pass."""
+    if reduced is S or grades_r is grades_s:
+        raise OracleError("oracle: the reduction is the original itself; "
+                          "reduce a copy (S.copy(), dict(grades))")
     grid = _thin(critical_grades(grades_s), max_grades)
     q_hi = max(S.max_dim, reduced.max_dim, 0) if q_max is None else q_max
     t_orig = rank_table(S, grades_s, q_hi, grid)

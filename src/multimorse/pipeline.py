@@ -70,18 +70,25 @@ def _table(rows: List[Tuple[str, ...]]) -> str:
         for row in rows)
 
 
-def stats_table(S: SComplex, C: SComplex) -> str:
-    """Per-dimension cell counts of a complex and its reduction, with
-    percentages kept (one decimal) and a totals row."""
+def dim_counts(S: SComplex) -> List[int]:
+    """Cells of each dimension, 0 to S.max_dim."""
+    return [len(S.cells_of_dim(q)) for q in range(S.max_dim + 1)]
+
+
+def stats_table(counts: List[int], C: SComplex) -> str:
+    """Per-dimension cell counts of a complex, given as its dim_counts,
+    and of its reduction C, with percentages kept (one decimal) and a
+    totals row. The counts are taken before reduce_all rewrites the
+    complex in place."""
 
     def pct(c: int, s: int) -> str:
         return f"{(100.0 * c / s if s else 0.0):.1f}"
 
-    top = max(S.max_dim, C.max_dim)
     rows = [("q", "#S", "#C", "%")]
     total_s = total_c = 0
-    for q in range(top + 1):
-        ns, nc = len(S.cells_of_dim(q)), len(C.cells_of_dim(q))
+    # a reduction removes cells only, so C has no dimension S lacks
+    for q, ns in enumerate(counts):
+        nc = len(C.cells_of_dim(q))
         total_s += ns
         total_c += nc
         rows.append((str(q), str(ns), str(nc), pct(nc, ns)))
@@ -180,7 +187,8 @@ def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
                 index: List[int], config: RunConfig):
     grades = entry_grades(S, f)
     P = partition(S, f, index, config.variant)
-    result = reduce_all(S, P, grades=grades)
+    # the oracle reads the original beside the reduction
+    result = reduce_all(S.copy(), P, grades=dict(grades))
     return verify_equivalence(S, grades, result.complex, result.grades,
                               q_max=config.q_max,
                               max_grades=VERIFY_GRID_LIMIT)
@@ -219,7 +227,7 @@ def run(config: RunConfig) -> int:
     S = mesh_complex(mesh, ring)
 
     if config.command == "stats":
-        print(stats_table(S, S))
+        print(stats_table(dim_counts(S), S))
         return 0
 
     if config.values_path:
@@ -234,7 +242,7 @@ def run(config: RunConfig) -> int:
         elif config.command == "verify":
             print("PASS checked=0 grades=0")
         elif config.command == "reduce":
-            print(stats_table(S, S))
+            print(stats_table(dim_counts(S), S))
             if config.out:
                 write_reduced(config.out, S, {}, 2)  # abs-xy grades: k = 2
         return 0
@@ -263,8 +271,9 @@ def run(config: RunConfig) -> int:
         return 0 if acyclic else 2
 
     grades = entry_grades(S, f)
+    counts = dim_counts(S)
     result = reduce_all(S, P, grades=grades)
-    print(stats_table(S, result.complex))
+    print(stats_table(counts, result.complex))
     if config.out:
         write_reduced(config.out, result.complex, result.grades, f.k)
     return 0

@@ -7,10 +7,11 @@ sigma with unit incidence, rewrites the remaining coefficients as
 
 with pivot = old(tau, sigma), eta running over the other cofaces of
 sigma and xi over the other faces of tau. The result is again a valid
-complex. reduce_all applies every pair of a matching and can accumulate
-the composed chain maps: a projection onto the smaller complex, an
-inclusion back, and a degree +1 homotopy connecting their composite to
-the identity.
+complex. reduce_all applies every pair of a matching to the complex in
+place, as Kaczynski, Mrozek & Slusarek's reductions rewrite it, and can
+accumulate the composed chain maps: a projection onto the smaller
+complex, an inclusion back, and a degree +1 homotopy connecting their
+composite to the identity.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
 
 @dataclass
 class ReductionResult:
+    """What reduce_all leaves: the complex and grades it was given, now
+    reduced, and the composed maps when they were asked for."""
+
     complex: SComplex
     grades: Optional[Dict[int, Grade]]
     maps: Optional[ComposedMaps]
@@ -153,12 +157,14 @@ def reduce_all(S: SComplex, matching: MatchPartition,
     """Reduce every matched pair of the matching, in the order the
     matching emitted them. The matching is acyclic, so no elimination
     changes the pivot of a pair still to come, and any order gives the
-    same result. S and grades are copied (S as a bare cell complex) and
-    left unchanged.
+    same result.
+
+    S and grades are reduced in place and returned in the result; a
+    caller that still needs the original passes S.copy() and
+    dict(grades). A SimplicialComplex stays one: its survivors keep
+    their vertex tuples, but their coefficients are the reduced ones.
     """
     pairs: List[Tuple[int, int]] = matching.pairs()
-    S = S.copy()
-    grades = dict(grades) if grades is not None else None
     maps = None
     if with_maps:
         maps = ComposedMaps(

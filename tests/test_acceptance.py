@@ -97,7 +97,7 @@ def test_criterion_1_persistence_preservation():
             table_s = mm.rank_table(S, grades, q_max=S.max_dim)
             for variant in ("strict", "weak"):
                 P = mm.partition(S, f, index, variant)
-                result = mm.reduce_all(S, P, grades=grades)
+                result = mm.reduce_all(S.copy(), P, grades=dict(grades))
                 table_c = mm.rank_table(result.complex, result.grades,
                                         q_max=S.max_dim, grid=grid)
                 assert table_c == table_s, (
@@ -130,7 +130,7 @@ def test_criterion_2_worked_example_exactness():
     assert P.matched == {}
     assert P.lower == set() and P.upper == set()
     assert P.critical == set(S.cells())
-    result = mm.reduce_all(S, P)
+    result = mm.reduce_all(S.copy(), P)
     assert result.complex.cells() == S.cells()
 
 
@@ -188,7 +188,7 @@ def test_criterion_5_benchmark_meshes():
         t0 = time.perf_counter()
         P = mm.partition(S, f, index)
         grades = mm.entry_grades(S, f)
-        result = mm.reduce_all(S, P, grades=grades)
+        result = mm.reduce_all(S.copy(), P, grades=dict(grades))
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"{name}: matching+reduction took {elapsed:.1f}s"
         ratio = len(result.complex) / len(S)
@@ -200,7 +200,8 @@ def test_criterion_5_benchmark_meshes():
         for center, sub in samples:
             sub_grades = mm.entry_grades(sub, f)
             sub_p = mm.partition(sub, f, index)
-            sub_r = mm.reduce_all(sub, sub_p, grades=sub_grades)
+            sub_r = mm.reduce_all(sub.copy(), sub_p,
+                                  grades=dict(sub_grades))
             report = mm.verify_equivalence(sub, sub_grades, sub_r.complex,
                                            sub_r.grades, max_grades=10)
             assert report.ok, f"{name}: submesh at {center} {report.summary()}"

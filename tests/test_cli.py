@@ -1,6 +1,7 @@
 import pytest
 
 import multimorse as mm
+from multimorse import pipeline
 from multimorse.cli import build_parser, main
 
 import helpers
@@ -110,6 +111,32 @@ def test_reduce_has_no_verify_flag(tmp_path, capsys):
             main(["reduce", mesh] + extra)
         assert exc.value.code == 2
         assert extra[0] in capsys.readouterr().err
+
+
+def test_verify_checks_against_the_unreduced_input(tmp_path, capsys,
+                                                  monkeypatch):
+    # a reduction that loses one top cell fails, whole or sampled: verify
+    # compares it with the input, not with the complex reduced in place
+    real = pipeline.reduce_all
+
+    def lossy(S, P, grades):
+        result = real(S, P, grades=grades)
+        C = result.complex
+        top = C.cells_of_dim(C.max_dim)[-1]
+        C.remove_cell(top)
+        del result.grades[top]
+        return result
+
+    monkeypatch.setattr(pipeline, "reduce_all", lossy)
+    octa = _mesh_file(tmp_path, mm.Mesh(helpers.OCTAHEDRON_VERTICES,
+                                        helpers.OCTAHEDRON_FACES))
+    assert main(["verify", octa]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1].startswith("FAIL mismatches=")
+    sphere = _mesh_file(tmp_path, helpers.sphere_mesh(1), "sphere.off")
+    assert main(["verify", sphere, "--max-cells", "50", "--seed", "3"]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1].startswith("FAIL samples=")
 
 
 def test_preset_default_on_octahedron(tmp_path, capsys):
