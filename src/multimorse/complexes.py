@@ -4,17 +4,26 @@ An SComplex stores a finite set of cells, each with a dimension, and the
 incidence coefficient between a cell and each of its primary faces (cells
 one dimension down). Coefficients live in a fixed ring and are kept in
 adjacency dicts from both endpoints, so faces and cofaces of a cell are
-both O(degree) lookups. A SimplicialComplex additionally remembers the
-sorted vertex tuple of every cell and derives its coefficients from the
-alternating-sign rule: dropping the i-th vertex contributes (-1)**i.
+both O(degree) lookups. The per-cell tables are lists indexed by cell
+id, with None at an id that holds no cell (never used, or removed), so
+a complex costs one slot per id up to its largest, holes included. Cell
+ids are the integers 0 to CELL_ID_LIMIT - 1. A SimplicialComplex
+additionally remembers the sorted vertex tuple of every cell and derives
+its coefficients from the alternating-sign rule: dropping the i-th
+vertex contributes (-1)**i.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, ItemsView, List, Sequence, Set, Tuple
+from typing import (Dict, Iterable, ItemsView, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .rings import GF2, CoefficientRing
+
+# add_cell refuses larger ids: the tables for 2**26 ids take about 1.6 GB,
+# and a 98,306-cell mesh uses the first 98,306
+CELL_ID_LIMIT = 2 ** 26
 
 
 class ComplexError(ValueError):
@@ -23,29 +32,45 @@ class ComplexError(ValueError):
 
 
 class SComplex:
-    """A finite cell complex with ring-valued incidence coefficients."""
+    """A finite cell complex with ring-valued incidence coefficients.
+
+    _dims[c], _faces[c] and _cofaces[c] describe cell c, and are None
+    where id c holds no cell; the lists never shrink, so removing a cell
+    leaves a hole and new ids start past the largest id ever used. Ids
+    run from 0 to CELL_ID_LIMIT - 1, and add_cell refuses any other id
+    before a table grows.
+    """
 
     def __init__(self, ring: CoefficientRing = GF2):
         self.ring = ring
-        self._dims: Dict[int, int] = {}
+        self._dims: List[Optional[int]] = []
         # _faces[s][t] == _cofaces[t][s] == incidence of s with its face t
-        self._faces: Dict[int, Dict[int, object]] = {}
-        self._cofaces: Dict[int, Dict[int, object]] = {}
-        self._next_id = 0
+        self._faces: List[Optional[Dict[int, object]]] = []
+        self._cofaces: List[Optional[Dict[int, object]]] = []
+        self._count = 0     # ids holding a cell
 
     # -- construction -------------------------------------------------
 
     def add_cell(self, dim: int, cell_id: int | None = None) -> int:
         if dim < 0:
             raise ComplexError(f"complex: negative dimension {dim}")
+        n = len(self._dims)
         if cell_id is None:
-            cell_id = self._next_id
-        if cell_id in self._dims:
+            cell_id = n
+        if not 0 <= cell_id < CELL_ID_LIMIT:
+            raise ComplexError(f"complex: cell id {cell_id} outside "
+                               f"0..{CELL_ID_LIMIT - 1}")
+        if cell_id >= n:
+            holes = [None] * (cell_id + 1 - n)
+            self._dims.extend(holes)
+            self._faces.extend(holes)
+            self._cofaces.extend(holes)
+        elif self._dims[cell_id] is not None:
             raise ComplexError(f"complex: cell id {cell_id} already in use")
         self._dims[cell_id] = dim
         self._faces[cell_id] = {}
         self._cofaces[cell_id] = {}
-        self._next_id = max(self._next_id, cell_id + 1)
+        self._count += 1
         return cell_id
 
     def set_incidence(self, s: int, t: int, value) -> None:
@@ -69,83 +94,102 @@ class SComplex:
 
     def remove_cell(self, c: int) -> None:
         """Delete a cell and every incidence entry that mentions it."""
-        for t in self._faces.pop(c):
+        for t, _ in self.boundary(c):
             del self._cofaces[t][c]
-        for s in self._cofaces.pop(c):
+        for s, _ in self.coboundary(c):
             del self._faces[s][c]
-        del self._dims[c]
+        self._dims[c] = self._faces[c] = self._cofaces[c] = None
+        self._count -= 1
 
     # -- queries ------------------------------------------------------
 
     def __contains__(self, c: int) -> bool:
-        return c in self._dims
+        try:
+            return self._dims[c] is not None and c >= 0
+        except IndexError:
+            return False
 
     def __len__(self) -> int:
-        return len(self._dims)
+        return self._count
 
     def dim(self, c: int) -> int:
+        # an index past the end raises, and a negative one would
+        # alias the end of the table
         try:
-            return self._dims[c]
-        except KeyError:
-            raise ComplexError(f"complex: no cell {c}") from None
+            d = self._dims[c]
+        except IndexError:
+            d = None
+        if d is None or c < 0:
+            raise ComplexError(f"complex: no cell {c}")
+        return d
 
     @property
     def max_dim(self) -> int:
         """Largest cell dimension, or -1 for an empty complex."""
-        return max(self._dims.values(), default=-1)
+        return max((d for d in self._dims if d is not None), default=-1)
 
     def cells(self) -> List[int]:
-        return sorted(self._dims)
+        return [c for c, d in enumerate(self._dims) if d is not None]
 
     def cells_of_dim(self, q: int) -> List[int]:
-        return sorted(c for c, d in self._dims.items() if d == q)
+        return [c for c, d in enumerate(self._dims) if d == q]
 
     def incidence(self, s: int, t: int):
-        if s not in self._dims or t not in self._dims:
-            raise ComplexError(f"complex: no cell {s if s not in self._dims else t}")
+        self.dim(s)
+        self.dim(t)
         return self._faces[s].get(t, self.ring.zero)
 
     def boundary(self, c: int) -> ItemsView[int, object]:
         """Primary faces of c with their incidence coefficients, as a
         read-only view that follows later edits of the complex."""
         try:
-            return self._faces[c].items()
-        except KeyError:
-            raise ComplexError(f"complex: no cell {c}") from None
+            row = self._faces[c]
+        except IndexError:
+            row = None
+        if row is None or c < 0:
+            raise ComplexError(f"complex: no cell {c}")
+        return row.items()
 
     def coboundary(self, c: int) -> ItemsView[int, object]:
         """Primary cofaces of c with their incidence coefficients, as a
         read-only view that follows later edits of the complex."""
         try:
-            return self._cofaces[c].items()
-        except KeyError:
-            raise ComplexError(f"complex: no cell {c}") from None
+            row = self._cofaces[c]
+        except IndexError:
+            row = None
+        if row is None or c < 0:
+            raise ComplexError(f"complex: no cell {c}")
+        return row.items()
 
     def copy(self) -> "SComplex":
         """An independent copy as a bare SComplex; a SimplicialComplex's
         vertex tuples are left behind."""
         out = SComplex(self.ring)
-        out._dims = dict(self._dims)
-        out._faces = {c: dict(row) for c, row in self._faces.items()}
-        out._cofaces = {c: dict(row) for c, row in self._cofaces.items()}
-        out._next_id = self._next_id
+        out._dims = list(self._dims)
+        out._faces = [None if row is None else dict(row)
+                      for row in self._faces]
+        out._cofaces = [None if row is None else dict(row)
+                        for row in self._cofaces]
+        out._count = self._count
         return out
 
     def validate(self) -> None:
         """Check the dimension rule, adjacency symmetry, and dd == 0."""
         ring = self.ring
-        for s, row in self._faces.items():
-            for t, v in row.items():
-                if self._dims[s] != self._dims[t] + 1:
+        dims, faces, cofaces = self._dims, self._faces, self._cofaces
+        cells = self.cells()
+        for s in cells:
+            for t, v in faces[s].items():
+                if dims[s] != dims[t] + 1:
                     raise ComplexError(
                         f"complex: cells {s},{t} break the dimension rule")
-                if self._cofaces[t].get(s) != v:
+                if cofaces[t].get(s) != v:
                     raise ComplexError(
                         f"complex: asymmetric incidence for cells {s},{t}")
-        for s in self._dims:
+        for s in cells:
             acc: Dict[int, object] = {}
-            for t, v in self._faces[s].items():
-                for u, w in self._faces[t].items():
+            for t, v in faces[s].items():
+                for u, w in faces[t].items():
                     acc[u] = ring.add(acc.get(u, ring.zero), ring.mul(v, w))
             for u, total in acc.items():
                 if total != ring.zero:
@@ -212,15 +256,16 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     complex_from_simplices gives for it; a face missing from the list,
     or listed after its simplex, raises ComplexError."""
     out = SimplicialComplex(ring)
-    # Written straight into the tables: every face of a cell is an
-    # earlier cell one dimension down, and +-1 is nonzero in every ring,
-    # so the checks of add_cell and set_incidence cannot fail.
+    # Written straight into the tables: ids count up from 0, every face
+    # of a cell is an earlier cell one dimension down, and +-1 is nonzero
+    # in every ring, so the checks of add_cell and set_incidence cannot
+    # fail (short of CELL_ID_LIMIT cells, which no memory holds).
     signs = (ring.from_int(1), ring.from_int(-1))
     dims, faces, cofaces = out._dims, out._faces, out._cofaces
     by_verts = out.cell_by_verts
     try:
         for c, w in enumerate(closure):
-            dims[c] = len(w) - 1
+            dims.append(len(w) - 1)
             out.verts[c] = w
             by_verts[w] = c
             row: Dict[int, object] = {}
@@ -229,12 +274,12 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
                     t = by_verts[w[:i] + w[i + 1:]]
                     row[t] = signs[i % 2]
                     cofaces[t][c] = signs[i % 2]
-            faces[c] = row
-            cofaces[c] = {}
+            faces.append(row)
+            cofaces.append({})
     except KeyError as e:
         raise ComplexError(f"complex: face {e.args[0]} of simplex {w} "
                            f"is not listed before it") from None
-    out._next_id = len(dims)
+    out._count = len(dims)
     return out
 
 

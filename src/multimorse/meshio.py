@@ -196,7 +196,6 @@ def write_reduced(path: str, S: SComplex, grades: Dict[int, Grade],
                   k: int) -> None:
     """Write a reduced complex with its carried grades."""
     cells = S.cells()
-    entries = [(s, t, v) for s in cells for t, v in sorted(S.boundary(s))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"k {k}\n")
         fh.write(f"cells {len(cells)}\n")
@@ -207,9 +206,10 @@ def write_reduced(path: str, S: SComplex, grades: Dict[int, Grade],
                     f"mesh: {path}: cell {c} grade arity {len(g)} != {k}")
             text = " ".join(repr(x) for x in g)
             fh.write(f"{c} {S.dim(c)} {text}\n")
-        fh.write(f"boundary {len(entries)}\n")
-        for s, t, v in entries:
-            fh.write(f"{s} {t} {S.ring.format(v)}\n")
+        fh.write(f"boundary {sum(len(S.boundary(s)) for s in cells)}\n")
+        for s in cells:
+            for t, v in sorted(S.boundary(s)):
+                fh.write(f"{s} {t} {S.ring.format(v)}\n")
 
 
 def read_reduced(path: str, ring: CoefficientRing = GF2

@@ -248,6 +248,8 @@ def run(config: RunConfig) -> int:
         return 0
     else:
         f = preset_abs_xy(mesh)
+    # nothing below reads the mesh: the complex holds its own faces
+    del mesh
     if config.indexing == "kahn":
         index = topo_sort_kahn(build_dag(f))
     else:
@@ -270,10 +272,11 @@ def run(config: RunConfig) -> int:
         print(f"acyclic {'yes' if acyclic else 'NO'}")
         return 0 if acyclic else 2
 
-    grades = entry_grades(S, f)
     counts = dim_counts(S)
-    result = reduce_all(S, P, grades=grades)
-    print(stats_table(counts, result.complex))
+    C = reduce_all(S, P).complex
+    del P   # read by nothing below
+    print(stats_table(counts, C))
     if config.out:
-        write_reduced(config.out, result.complex, result.grades, f.k)
+        # a survivor keeps its vertex tuple, and so its entry grade
+        write_reduced(config.out, C, entry_grades(C, f), f.k)
     return 0

@@ -51,10 +51,9 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
     # rewritten entry joins a coface of sigma to a face of tau, one
     # dimension apart, and ring arithmetic keeps it normalized
     faces, cofaces = S._faces, S._cofaces
-    try:
-        sigma_row = cofaces[sigma]
-    except KeyError:
-        raise ComplexError(f"complex: no cell {sigma}") from None
+    if sigma not in S:
+        raise ComplexError(f"complex: no cell {sigma}")
+    sigma_row = cofaces[sigma]
     pivot = sigma_row.get(tau)
     if pivot is None:
         raise ReductionError(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -714,3 +716,17 @@ def write_off(path, mesh):
             fh.write(f"{x!r} {y!r} {z!r}\n")
         for a, b, c in mesh.faces:
             fh.write(f"3 {a} {b} {c}\n")
+
+
+def traced(call):
+    """call() and the bytes tracemalloc counts as (result, (current,
+    peak)), current taken with the result still alive. gc.collect()
+    first empties the free lists, which would otherwise hand out blocks
+    allocated before tracing began, so the figures repeat exactly."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

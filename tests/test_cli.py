@@ -75,6 +75,20 @@ def test_reduce_writes_output_file(tmp_path, capsys):
     assert grades == {0: (0.0, 0.0)}
 
 
+def test_reduce_holds_little_beyond_the_complex(tmp_path, capsys):
+    # the peak of a whole `reduce --out` run against the peak of reading
+    # the mesh and building its complex: the run drops the mesh once it
+    # has the grades, does not keep the matching past reduce_all, grades
+    # only the survivors, and streams the boundary entries out
+    mesh = _mesh_file(tmp_path, helpers.sphere_mesh(4))
+    config = pipeline.RunConfig("reduce", mesh, out=str(tmp_path / "r.txt"))
+    _, (_, loaded) = helpers.traced(
+        lambda: mm.mesh_complex(mm.read_mesh(mesh)))
+    _, (_, peak) = helpers.traced(lambda: pipeline.run(config))
+    assert _last_row(capsys.readouterr().out)[:2] == ["total", "6146"]
+    assert peak <= 1.15 * loaded, peak / loaded
+
+
 def test_verify(tmp_path, capsys):
     mesh = _mesh_file(tmp_path, TRIANGLE)
     values = _values_file(tmp_path, helpers.FULL_TRIANGLE_GRADES)

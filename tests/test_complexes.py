@@ -3,7 +3,8 @@ import random
 import pytest
 
 import multimorse as mm
-from multimorse.complexes import ComplexError, complex_from_closure
+from multimorse.complexes import (CELL_ID_LIMIT, ComplexError,
+                                  complex_from_closure)
 
 import helpers
 
@@ -104,6 +105,37 @@ def test_construction_errors():
         S.boundary(99)
     with pytest.raises(ComplexError):
         S.coboundary(99)
+
+
+def test_add_cell_refuses_ids_out_of_range():
+    # the ids index the tables: a negative id would alias their end, and
+    # a huge one would grow them to its size
+    S = mm.SComplex()
+    for bad in (-1, -3, CELL_ID_LIMIT, CELL_ID_LIMIT + 7):
+        with pytest.raises(ComplexError, match=f"cell id {bad} outside"):
+            S.add_cell(0, cell_id=bad)
+    # refused before any table grew: the next free id is still 0
+    assert len(S) == 0 and S.cells() == []
+    assert S.add_cell(0) == 0
+    S.add_cell(1, cell_id=3)
+    assert S.cells() == [0, 3] and len(S) == 2
+    # neither the holes nor a negative id name a cell
+    for c in (-1, 1, 2, 4):
+        assert c not in S
+        for query in (S.dim, S.boundary, S.coboundary):
+            with pytest.raises(ComplexError, match=f"no cell {c}"):
+                query(c)
+    S.remove_cell(3)
+    assert S.cells() == [0] and len(S) == 1
+    assert S.add_cell(0) == 4   # a removed id is not handed out again
+
+
+def test_built_complex_allocation_per_cell():
+    # tracemalloc counts blocks, so the figure does not move with the host
+    mesh = helpers.sphere_mesh(4)
+    S, (size, _) = helpers.traced(lambda: mm.mesh_complex(mesh))
+    assert len(S) == 6146
+    assert size / len(S) <= 640, size / len(S)
 
 
 def _assert_same_complex(S, R):

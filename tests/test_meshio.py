@@ -3,6 +3,7 @@ import math
 import pytest
 
 import multimorse as mm
+from multimorse.complexes import CELL_ID_LIMIT
 from multimorse.meshio import MeshFormatError
 
 import helpers
@@ -299,6 +300,15 @@ def test_reduced_duplicate_cell_id(tmp_path):
               "line 4: .*cell id 0 already in use")
     _read_bad(tmp_path, "k 1\ncells 1\n0 -1 0.0\nboundary 0\n",
               "line 3: .*negative dimension")
+
+
+def test_reduced_cell_id_out_of_range(tmp_path):
+    # refused before the complex's tables grow to the id
+    _read_bad(tmp_path, "k 1\ncells 1\n-3 0 0.0\nboundary 0\n",
+              "line 3: .*cell id -3 outside")
+    big = CELL_ID_LIMIT
+    _read_bad(tmp_path, f"k 1\ncells 2\n0 0 0.0\n{big} 0 0.0\nboundary 0\n",
+              f"line 4: .*cell id {big} outside")
 
 
 def test_reduced_boundary_names_missing_cell(tmp_path):

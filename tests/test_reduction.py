@@ -124,6 +124,28 @@ def test_reduce_all_works_in_place():
     assert S.cell_by_verts == {(0,): 0}
 
 
+def _graded_complexes(ring):
+    mesh = helpers.sphere_mesh(3)
+    yield mm.mesh_complex(mesh, ring), mm.preset_abs_xy(mesh)
+    for seed in range(4):
+        yield (helpers.random_complex(seed, ring=ring),
+               helpers.random_grades(seed + 3, 12))
+
+
+def test_survivors_keep_their_entry_grades():
+    # `reduce` grades only the survivors, after reduce_all: a survivor
+    # keeps its vertex tuple, and a reduction never changes its grade
+    removed = 0
+    for ring in (mm.GF2, mm.INTEGERS):
+        for variant in ("strict", "weak"):
+            for S, f in _graded_complexes(ring):
+                P = mm.partition(S, f, mm.lex_indexing(f), variant)
+                R = mm.reduce_all(S, P, grades=mm.entry_grades(S, f))
+                assert mm.entry_grades(R.complex, f) == R.grades
+                removed += 2 * len(P.matched)
+    assert removed > 0
+
+
 def test_reduce_all_allocates_no_copy_of_its_input():
     # the peak that reduce_all adds over its input, against what the
     # build allocates for that input; a copy of the complex adds 83 %
