@@ -198,11 +198,16 @@ class SComplex:
 
 
 class SimplicialComplex(SComplex):
-    """An SComplex whose cells are simplices, tagged with vertex tuples."""
+    """An SComplex whose cells are simplices, tagged with vertex tuples.
+
+    verts[c] is the sorted vertex tuple of cell c, and None where id c
+    holds no cell, as in _dims; cell_by_verts maps each tuple back to
+    its id.
+    """
 
     def __init__(self, ring: CoefficientRing = GF2):
         super().__init__(ring)
-        self.verts: Dict[int, Tuple[int, ...]] = {}
+        self.verts: List[Optional[Tuple[int, ...]]] = []
         self.cell_by_verts: Dict[Tuple[int, ...], int] = {}
 
     def cell_with_verts(self, vertices: Sequence[int]) -> int:
@@ -214,14 +219,16 @@ class SimplicialComplex(SComplex):
 
     def vertex_ids(self) -> List[int]:
         """Vertex numbers present in the complex, sorted."""
-        return sorted(v[0] for c, v in self.verts.items()
-                      if self._dims[c] == 0)
+        return sorted(w[0] for w in self.verts
+                      if w is not None and len(w) == 1)
 
     def remove_cell(self, c: int) -> None:
         super().remove_cell(c)
-        w = self.verts.pop(c, None)
+        # a cell given by add_cell alone has no vertex tuple
+        w = self.verts[c] if c < len(self.verts) else None
         if w is not None:
             del self.cell_by_verts[w]
+            self.verts[c] = None
 
 
 def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
@@ -262,11 +269,11 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     # fail (short of CELL_ID_LIMIT cells, which no memory holds).
     signs = (ring.from_int(1), ring.from_int(-1))
     dims, faces, cofaces = out._dims, out._faces, out._cofaces
-    by_verts = out.cell_by_verts
+    verts, by_verts = out.verts, out.cell_by_verts
     try:
         for c, w in enumerate(closure):
             dims.append(len(w) - 1)
-            out.verts[c] = w
+            verts.append(w)
             by_verts[w] = c
             row: Dict[int, object] = {}
             if len(w) > 1:
@@ -302,7 +309,7 @@ def full_subcomplex(S: SimplicialComplex,
                     vertex_set: Set[int]) -> SimplicialComplex:
     """Subcomplex of all cells whose vertices lie in vertex_set, keeping
     the original vertex numbering and the ring."""
-    kept = sorted(w for w in S.verts.values()
-                  if all(u in vertex_set for u in w))
+    kept = sorted(w for w in S.verts
+                  if w is not None and all(u in vertex_set for u in w))
     kept.sort(key=len)      # stable: (dimension, vertices) order
     return complex_from_closure(kept, S.ring)

@@ -10,7 +10,6 @@ so sublevel sets are subcomplexes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .complexes import SimplicialComplex
@@ -38,25 +37,22 @@ def le_neq(a: Grade, b: Grade) -> bool:
     return leq(a, b) and a != b
 
 
-@dataclass
 class MeasuringFunction:
     """Grades indexed by vertex number (vertex v -> grades[v])."""
 
-    grades: List[Grade]
-
-    def __post_init__(self):
-        if not self.grades:
+    def __init__(self, grades: List[Grade]):
+        if not grades:
             raise GradeError("grades: no vertices")
-        k = len(self.grades[0])
+        k = len(grades[0])
         if k == 0:
             raise GradeError("grades: arity zero")
-        for v, g in enumerate(self.grades):
+        for v, g in enumerate(grades):
             if len(g) != k:
                 raise GradeError(
                     f"grades: vertex {v} has arity {len(g)}, expected {k}")
             if not all(math.isfinite(x) for x in g):
                 raise GradeError(f"grades: non-finite component at vertex {v}")
-        self.grades = [tuple(float(x) for x in g) for g in self.grades]
+        self.grades = [tuple(float(x) for x in g) for g in grades]
 
     @property
     def k(self) -> int:
@@ -84,8 +80,9 @@ def entry_grades(S: SimplicialComplex,
     grades = f.grades
     n = len(grades)
     out: Dict[int, Grade] = {}
-    for c in S.cells():
-        w = S.verts[c]
+    for c, w in enumerate(S.verts):
+        if w is None:
+            continue
         if w[0] < 0 or w[-1] >= n:
             f.check_vertices(w[0], w[-1])   # raises the GradeError
         if len(w) == 1:

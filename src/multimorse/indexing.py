@@ -13,7 +13,6 @@ it and the validity check cost O(d^2 + n log n).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .filtration import Grade, MeasuringFunction, le_neq
@@ -35,14 +34,14 @@ def _grade_classes(f: MeasuringFunction
     return members, above
 
 
-@dataclass
 class ComparabilityDag:
     """Comparability digraph of a measuring function on its grade
     classes: an edge u -> w for every vertex u of members[i] and w of
     members[j] whenever j is in above[i]."""
 
-    members: List[List[int]]
-    above: List[List[int]]
+    def __init__(self, members: List[List[int]], above: List[List[int]]):
+        self.members = members
+        self.above = above
 
     @property
     def edge_count(self) -> int:

@@ -6,13 +6,15 @@ cell of dimension >= 1 belongs to the lower star of at most one vertex,
 its *apex*: the vertex of the cell that admits every other vertex of the
 cell below it. Admission is a strict partial order on the vertices, so
 the apex is unique when it exists and a linear scan finds it. One sweep
-over the cells therefore hands each cell, minus its apex, to the lower
-link of its apex; a cell without an apex stays critical. Each vertex v
-is then processed in index order: the algorithm recursively partitions
-v's link (a smaller complex of vertex tuples, swept the same way),
-matches v itself with the cone over a distinguished minimal critical
-link vertex, and transports the link's matching through the cone.
-Vertices with an empty lower link end up critical.
+over the cells therefore records which cells each apex owns; a cell
+without an apex stays critical. Each vertex v is then processed in
+index order: the algorithm builds v's lower link from the cells v owns,
+each minus v, recursively partitions it (swept the same way), matches
+v itself with the cone over a distinguished minimal critical link
+vertex, and transports the link's matching through the cone. A link
+cell carries the id of the cell it was cut from, which is its cone, so
+the transport is free. Vertices with an empty lower link end up
+critical.
 
 Two admission rules exist. The strict variant admits a vertex u below v
 only when f(u) <= f(v) componentwise with f(u) != f(v). The weak variant
@@ -23,7 +25,6 @@ a bijection and the reversed Hasse diagram acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
@@ -35,13 +36,13 @@ class MatchingError(ValueError):
     """Raised for invalid partition inputs or violated invariants."""
 
 
-@dataclass
 class MatchPartition:
     """Result of partition: matched maps each lower cell to its paired
     primary coface (in emission order), critical holds the rest."""
 
-    matched: Dict[int, int]
-    critical: Set[int]
+    def __init__(self, matched: Dict[int, int], critical: Set[int]):
+        self.matched = matched
+        self.critical = critical
 
     @property
     def lower(self) -> Set[int]:
@@ -90,68 +91,70 @@ def _apex(w: Simplex, admit: Admission) -> int | None:
     return top
 
 
-def _cone(w: Simplex, v: int) -> Simplex:
-    return tuple(sorted(w + (v,)))
-
-
-def _partition_core(cells: List[Simplex], grades: Sequence[Tuple[float, ...]],
+def _partition_core(cells: Dict[Simplex, int],
+                    grades: Sequence[Tuple[float, ...]],
                     index: Sequence[int], admit: Admission
-                    ) -> Tuple[List[Tuple[Simplex, Simplex]], List[Simplex]]:
-    """Partition a face-closed list of vertex tuples: the matched pairs
-    in emission order and the critical cells. One pass hands every cell
-    of dimension >= 1 to the link of its apex; cells without an apex are
-    critical and come last, in their input order."""
-    points: List[int] = []
-    links: Dict[int, List[Simplex]] = {}
-    loose: List[Simplex] = []
-    for w in cells:
+                    ) -> Tuple[List[Tuple[int, int]], List[int],
+                               List[Tuple[int, int]]]:
+    """Partition a face-closed set of vertex tuples, each mapped to the
+    id its caller knows it by. Returns the matched pairs of ids in
+    emission order, the critical ids of dimension >= 1, and the critical
+    points as (vertex, id).
+
+    One pass records the cells each apex owns; a vertex's lower link is
+    built when the vertex comes up, in index order, and dropped after
+    it. A link cell keeps the id of the cell it was cut from, which is
+    its cone with the vertex, so the ids the recursion hands back need
+    no translation. Cells without an apex are critical. The output does
+    not depend on the order of `cells`."""
+    points: Dict[int, int] = {}
+    owned: Dict[int, List[Simplex]] = {}
+    critical: List[int] = []
+    for w, c in cells.items():
         if len(w) == 1:
-            points.append(w[0])
+            points[w[0]] = c
             continue
         top = _apex(w, admit)
         if top is None:
-            loose.append(w)
+            critical.append(c)
         else:
-            links.setdefault(top, []).append(
-                tuple(u for u in w if u != top))
-    points.sort(key=index.__getitem__)
-    matched: List[Tuple[Simplex, Simplex]] = []
-    critical: List[Simplex] = []
-    for v in points:
-        link = links.get(v)
-        if link is None:
-            critical.append((v,))
+            owned.setdefault(top, []).append(w)
+    matched: List[Tuple[int, int]] = []
+    lone: List[Tuple[int, int]] = []
+    for v in sorted(points, key=index.__getitem__):
+        mine = owned.pop(v, None)
+        if mine is None:
+            lone.append((v, points[v]))
             continue
-        _match_vertex(v, link, grades, index, admit, matched, critical)
-    critical.extend(loose)
-    return matched, critical
+        link = {tuple(u for u in w if u != v): cells[w] for w in mine}
+        _match_vertex(points[v], link, grades, index, admit, matched,
+                      critical)
+    return matched, critical, lone
 
 
-def _match_vertex(v: int, link: List[Simplex],
+def _match_vertex(v_id: int, link: Dict[Simplex, int],
                   grades: Sequence[Tuple[float, ...]], index: Sequence[int],
-                  admit: Admission, matched: List[Tuple[Simplex, Simplex]],
-                  critical: List[Simplex]) -> None:
+                  admit: Admission, matched: List[Tuple[int, int]],
+                  critical: List[int]) -> None:
     """Add what a vertex with a nonempty lower link contributes: its edge
     to the link's chosen critical vertex, then the link's other critical
-    cells and the link's pairs, all carried through the cone."""
-    sub_matched, sub_critical = _partition_core(link, grades, index, admit)
-    pool = [w[0] for w in sub_critical if len(w) == 1]
+    cells and the link's pairs, all given by the ids of their cones."""
+    sub_matched, sub_critical, pool = _partition_core(
+        link, grades, index, admit)
     if not pool:
         raise MatchingError(
             "matching: nonempty link produced no critical vertex")
     minimal = []
-    for u in pool:
+    for u, c in pool:
         gu = grades[u]
         if not any(w != u and grades[w] != gu and all(map(le, grades[w], gu))
-                   for w in pool):
-            minimal.append(u)
-    w0 = min(minimal, key=index.__getitem__)
-    matched.append(((v,), _cone((w0,), v)))
-    for w in sub_critical:
-        if w != (w0,):
-            critical.append(_cone(w, v))
-    for low, up in sub_matched:
-        matched.append((_cone(low, v), _cone(up, v)))
+                   for w, _ in pool):
+            minimal.append((u, c))
+    w0 = min(minimal, key=lambda p: index[p[0]])[1]
+    matched.append((v_id, w0))
+    critical.extend(c for _, c in pool if c != w0)
+    critical.extend(sub_critical)
+    matched.extend(sub_matched)
 
 
 def partition(S: SimplicialComplex, f: MeasuringFunction,
@@ -177,17 +180,18 @@ def partition(S: SimplicialComplex, f: MeasuringFunction,
         seen.add(index[v])
     if vids:
         f.check_vertices(vids[0], vids[-1])
-    verts = S.verts
-    cells = [verts[c] for c in sorted(verts)]
-    pairs, critical = _partition_core(
-        cells, f.grades, index, _admission(f.grades, index, variant))
-    by_verts = S.cell_by_verts
-    return MatchPartition({by_verts[low]: by_verts[up] for low, up in pairs},
-                          {by_verts[w] for w in critical})
+    # the ids of cell_by_verts are the int objects the complex's tables
+    # hold, so the result shares them rather than making one per cell
+    pairs, critical, lone = _partition_core(
+        S.cell_by_verts, f.grades, index,
+        _admission(f.grades, index, variant))
+    critical.extend(c for _, c in lone)
+    return MatchPartition(dict(pairs), set(critical))
 
 
 def max_index(S: SimplicialComplex, index: Sequence[int], c: int) -> int:
     """Largest vertex index occurring in cell c."""
+    S.dim(c)    # a negative id would alias the end of verts
     return max(index[u] for u in S.verts[c])
 
 

@@ -12,7 +12,6 @@ bit-exactly because floats are printed in shortest-repr form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from .complexes import (ComplexError, SComplex, SimplicialComplex,
@@ -25,12 +24,13 @@ class MeshFormatError(ValueError):
     """Raised for malformed mesh, values, or reduced-complex files."""
 
 
-@dataclass
 class Mesh:
     """Triangle mesh: 3D vertex coordinates and vertex-index triples."""
 
-    vertices: List[Tuple[float, float, float]]
-    faces: List[Tuple[int, int, int]]
+    def __init__(self, vertices: List[Tuple[float, float, float]],
+                 faces: List[Tuple[int, int, int]]):
+        self.vertices = vertices
+        self.faces = faces
 
 
 def _numbered_lines(text: str) -> List[Tuple[int, str]]:

@@ -26,7 +26,6 @@ verify_equivalence also compares the torsion of their sublevel complexes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import le
 from typing import Dict, ItemsView, Iterator, List, Optional, Sequence, Tuple
 
@@ -166,13 +165,14 @@ def _sublevel_buckets(S: SComplex, grades: Dict[int, Grade],
     return out
 
 
-@dataclass
 class HomologyRanks:
     """Betti numbers by dimension; torsion coefficients by dimension when
     computed over the integers, else None."""
 
-    betti: List[int]
-    torsion: Optional[List[List[int]]] = None
+    def __init__(self, betti: List[int],
+                 torsion: Optional[List[List[int]]] = None):
+        self.betti = betti
+        self.torsion = torsion
 
 
 def _integer_torsion(S: SComplex, q: int,
@@ -326,19 +326,24 @@ def _grade_text(g: Grade) -> str:
     return ",".join(str(x) for x in g)
 
 
-@dataclass
 class EquivalenceReport:
     """Side-by-side persistent ranks of an original complex and its
     reduction over a shared grade grid; over the integers also the
     torsion of both sublevel complexes at each grid grade, as
     (q, grade, original's, reduction's) where the two differ."""
 
-    ok: bool
-    grid: List[Grade]
-    ranks_original: Dict[Tuple[int, Grade, Grade], int]
-    ranks_reduced: Dict[Tuple[int, Grade, Grade], int]
-    mismatches: List[Tuple[int, Grade, Grade]]
-    torsion_mismatches: Sequence[Tuple[int, Grade, List[int], List[int]]] = ()
+    def __init__(self, ok: bool, grid: List[Grade],
+                 ranks_original: Dict[Tuple[int, Grade, Grade], int],
+                 ranks_reduced: Dict[Tuple[int, Grade, Grade], int],
+                 mismatches: List[Tuple[int, Grade, Grade]],
+                 torsion_mismatches: Sequence[
+                     Tuple[int, Grade, List[int], List[int]]] = ()):
+        self.ok = ok
+        self.grid = grid
+        self.ranks_original = ranks_original
+        self.ranks_reduced = ranks_reduced
+        self.mismatches = mismatches
+        self.torsion_mismatches = torsion_mismatches
 
     def lines(self) -> List[str]:
         flagged = set(self.mismatches)

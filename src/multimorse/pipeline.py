@@ -11,7 +11,7 @@ certified on seeded vertex-star submeshes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
 from typing import List, Optional, Tuple
 
 from .complexes import SComplex, SimplicialComplex, complex_from_closure
@@ -36,20 +36,24 @@ class PipelineError(ValueError):
     """Raised for bad run configurations."""
 
 
-@dataclass
 class RunConfig:
     """Everything one CLI invocation needs."""
 
-    command: str
-    mesh_path: str
-    values_path: Optional[str] = None
-    variant: str = "strict"
-    indexing: str = "lex"
-    ring_name: str = "z2"
-    q_max: Optional[int] = None
-    max_cells: int = 2000
-    seed: int = 0
-    out: Optional[str] = None
+    def __init__(self, command: str, mesh_path: str,
+                 values_path: Optional[str] = None, variant: str = "strict",
+                 indexing: str = "lex", ring_name: str = "z2",
+                 q_max: Optional[int] = None, max_cells: int = 2000,
+                 seed: int = 0, out: Optional[str] = None):
+        self.command = command
+        self.mesh_path = mesh_path
+        self.values_path = values_path
+        self.variant = variant
+        self.indexing = indexing
+        self.ring_name = ring_name
+        self.q_max = q_max
+        self.max_cells = max_cells
+        self.seed = seed
+        self.out = out
 
     def validate(self) -> None:
         if self.command not in ("sort", "match", "reduce", "verify", "stats"):
@@ -71,8 +75,11 @@ def _table(rows: List[Tuple[str, ...]]) -> str:
 
 
 def dim_counts(S: SComplex) -> List[int]:
-    """Cells of each dimension, 0 to S.max_dim."""
-    return [len(S.cells_of_dim(q)) for q in range(S.max_dim + 1)]
+    """Cells of each dimension, 0 to S.max_dim, in one pass over the
+    complex's dimension table."""
+    tally = Counter(S._dims)
+    del tally[None]     # the ids that hold no cell
+    return [tally[q] for q in range(max(tally, default=-1) + 1)]
 
 
 def stats_table(counts: List[int], C: SComplex) -> str:
@@ -87,8 +94,9 @@ def stats_table(counts: List[int], C: SComplex) -> str:
     rows = [("q", "#S", "#C", "%")]
     total_s = total_c = 0
     # a reduction removes cells only, so C has no dimension S lacks
+    kept = Counter(C._dims)
     for q, ns in enumerate(counts):
-        nc = len(C.cells_of_dim(q))
+        nc = kept[q]
         total_s += ns
         total_c += nc
         rows.append((str(q), str(ns), str(nc), pct(nc, ns)))

@@ -16,7 +16,6 @@ composite to the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .complexes import ComplexError, SComplex
@@ -30,15 +29,17 @@ class ReductionError(ValueError):
     incidence coefficient is not a unit)."""
 
 
-@dataclass
 class ReductionStep:
     """Snapshot of one elementary reduction, taken before removal."""
 
-    sigma: int
-    tau: int
-    pivot: object
-    tau_faces: Dict[int, object]
-    sigma_cofaces: Dict[int, object]
+    def __init__(self, sigma: int, tau: int, pivot: object,
+                 tau_faces: Dict[int, object],
+                 sigma_cofaces: Dict[int, object]):
+        self.sigma = sigma
+        self.tau = tau
+        self.pivot = pivot
+        self.tau_faces = tau_faces
+        self.sigma_cofaces = sigma_cofaces
 
 
 def reduce_pair(S: SComplex, sigma: int, tau: int,
@@ -86,7 +87,6 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
     return step
 
 
-@dataclass
 class ComposedMaps:
     """Composites over a whole reduction run. projection and homotopy are
     indexed by original generators, inclusion by surviving ones; the
@@ -94,10 +94,14 @@ class ComposedMaps:
     id - inclusion . projection = boundary . homotopy + homotopy . boundary
     on the original complex."""
 
-    ring: CoefficientRing
-    projection: Dict[int, Dict[int, object]]
-    inclusion: Dict[int, Dict[int, object]]
-    homotopy: Dict[int, Dict[int, object]]
+    def __init__(self, ring: CoefficientRing,
+                 projection: Dict[int, Dict[int, object]],
+                 inclusion: Dict[int, Dict[int, object]],
+                 homotopy: Dict[int, Dict[int, object]]):
+        self.ring = ring
+        self.projection = projection
+        self.inclusion = inclusion
+        self.homotopy = homotopy
 
 
 def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
@@ -140,14 +144,16 @@ def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
     del incl[sigma]
 
 
-@dataclass
 class ReductionResult:
     """What reduce_all leaves: the complex and grades it was given, now
     reduced, and the composed maps when they were asked for."""
 
-    complex: SComplex
-    grades: Optional[Dict[int, Grade]]
-    maps: Optional[ComposedMaps]
+    def __init__(self, complex: SComplex,
+                 grades: Optional[Dict[int, Grade]],
+                 maps: Optional[ComposedMaps]):
+        self.complex = complex
+        self.grades = grades
+        self.maps = maps
 
 
 def reduce_all(S: SComplex, matching: MatchPartition,

@@ -529,7 +529,7 @@ def reference_complex_from_simplices(simplices, ring=mm.GF2):
     plus, minus = ring.from_int(1), ring.from_int(-1)
     for w in _reference_closure(simplices):
         c = out.add_cell(len(w) - 1)
-        out.verts[c] = w
+        out.verts.append(w)
         out.cell_by_verts[w] = c
         for i in range(len(w)):
             if len(w) == 1:
@@ -561,7 +561,7 @@ def _reference_link_of(S, vid, v_cell, admit):
         else SimplicialComplex(S.ring)
     to_parent = {
         lc: S.cell_by_verts[tuple(sorted(w + (vid,)))]
-        for lc, w in link.verts.items()
+        for lc, w in enumerate(link.verts)
     }
     return link, to_parent
 

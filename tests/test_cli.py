@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import multimorse as mm
@@ -87,6 +91,20 @@ def test_reduce_holds_little_beyond_the_complex(tmp_path, capsys):
     _, (_, peak) = helpers.traced(lambda: pipeline.run(config))
     assert _last_row(capsys.readouterr().out)[:2] == ["total", "6146"]
     assert peak <= 1.15 * loaded, peak / loaded
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, about 1 MB of
+    # the resident memory of every process and 9 ms or more of its start
+    src = os.path.dirname(os.path.dirname(mm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("multimorse.cli", "multimorse"):
+        code = (f"import sys, {module}\n"
+                "print([m for m in ('dataclasses', 'inspect') "
+                "if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n", (module, done.stdout)
 
 
 def test_verify(tmp_path, capsys):

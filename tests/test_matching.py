@@ -5,6 +5,7 @@ import time
 import pytest
 
 import multimorse as mm
+from multimorse.complexes import ComplexError
 from multimorse.filtration import GradeError
 from multimorse.matching import MatchingError
 
@@ -172,6 +173,9 @@ def test_max_index():
     assert mm.max_index(S, index, 0) == 2
     assert mm.max_index(S, index, 5) == 1
     assert mm.max_index(S, index, 6) == 2
+    for c in (-1, 7):
+        with pytest.raises(ComplexError, match=f"no cell {c}"):
+            mm.max_index(S, index, c)
 
 
 def test_modified_hasse_triangle_boundary():

@@ -1,5 +1,7 @@
-"""Property tests of the rank oracle over random complexes and grades:
-ties, k from 1 to 4, and the rings z2, q, z and z5."""
+"""Property tests over random complexes and grades: ties, k from 1 to
+4, and the rings z2, q, z and z5. They cover the rank oracle, the
+matching against its per-vertex reference, and the reduced-complex file
+format."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,8 +16,8 @@ N_VERTICES = 10
 
 
 @st.composite
-def graded_complexes(draw):
-    ring = draw(st.sampled_from(RINGS))
+def graded_complexes(draw, rings=RINGS):
+    ring = draw(st.sampled_from(rings))
     S = helpers.random_complex(draw(st.integers(0, 10 ** 6)), N_VERTICES,
                                n_top=8, ring=ring)
     k = draw(st.integers(1, 4))
@@ -52,3 +54,35 @@ def test_oracle_properties(case, data):
                        for j, x in enumerate(grades[t]))
     with pytest.raises(OracleError, match=f"of cell {c} "):
         mm.rank_table(S, lowered, grid=grid)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(graded_complexes())
+def test_partition_properties(case):
+    S, f, _ = case
+    for index in (mm.lex_indexing(f), mm.topo_sort_kahn(mm.build_dag(f))):
+        for variant in ("strict", "weak"):
+            P = mm.partition(S, f, index, variant)
+            matched, critical = helpers.reference_partition(
+                S, f, index, variant)
+            assert list(P.matched.items()) == list(matched.items())
+            assert P.critical == critical
+            helpers.assert_matching_invariants(S, f, index, P)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(graded_complexes(rings=[mm.GF2, mm.INTEGERS]))
+def test_reduced_file_round_trip(tmp_path_factory, case):
+    S, f, variant = case
+    grades = mm.entry_grades(S, f)
+    red = mm.reduce_all(S, mm.partition(S, f, mm.lex_indexing(f), variant),
+                        grades=grades)
+    C = red.complex
+    path = str(tmp_path_factory.getbasetemp() / "round-trip.txt")
+    mm.write_reduced(path, C, red.grades, f.k)
+    back, back_grades = mm.read_reduced(path, C.ring)
+    assert back.cells() == C.cells()
+    assert back_grades == red.grades
+    for c in C.cells():
+        assert back.dim(c) == C.dim(c)
+        assert dict(back.boundary(c)) == dict(C.boundary(c))
