@@ -2,12 +2,15 @@
 
 An SComplex stores a finite set of cells, each with a dimension, and the
 incidence coefficient between a cell and each of its primary faces (cells
-one dimension down). Coefficients live in a fixed ring and are kept in
-adjacency dicts from both endpoints, so faces and cofaces of a cell are
+one dimension down). Coefficients live in a fixed ring. Each is stored
+once, in the face row of the higher cell, a dict from face to
+coefficient; the coface row of a cell is a list of ids, appended to
+whenever a face row gains the cell, so faces and cofaces of a cell are
 both O(degree) lookups. The per-cell tables are lists indexed by cell
 id, with None at an id that holds no cell (never used, or removed), so
 a complex costs one slot per id up to its largest, holes included. Cell
-ids are the integers 0 to CELL_ID_LIMIT - 1. A SimplicialComplex
+ids are the integers 0 to CELL_ID_LIMIT - 1, and a removed cell's id is
+never given to another cell. A SimplicialComplex
 additionally remembers the sorted vertex tuple of every cell and derives
 its coefficients from the alternating-sign rule: dropping the i-th
 vertex contributes (-1)**i.
@@ -25,6 +28,9 @@ from .rings import GF2, CoefficientRing
 # and a 98,306-cell mesh uses the first 98,306
 CELL_ID_LIMIT = 2 ** 26
 
+# the coface row at the id of a removed cell, where a never-used id has None
+_REMOVED: Tuple[int, ...] = ()
+
 
 class ComplexError(ValueError):
     """Raised for malformed complexes: bad cell ids, dimension-rule
@@ -34,19 +40,34 @@ class ComplexError(ValueError):
 class SComplex:
     """A finite cell complex with ring-valued incidence coefficients.
 
-    _dims[c], _faces[c] and _cofaces[c] describe cell c, and are None
-    where id c holds no cell; the lists never shrink, so removing a cell
-    leaves a hole and new ids start past the largest id ever used. Ids
-    run from 0 to CELL_ID_LIMIT - 1, and add_cell refuses any other id
-    before a table grows.
+    _dims[c], _faces[c] and _cofaces[c] describe cell c. Where id c
+    holds no cell, _dims[c] and _faces[c] are None, and _cofaces[c] is
+    None if the id was never used and _REMOVED if its cell was removed.
+    The lists never shrink, so removing a cell leaves a hole and new ids
+    start past the largest id ever used. Ids run from 0 to
+    CELL_ID_LIMIT - 1, and add_cell refuses any other id before a table
+    grows.
+
+    _cofaces[t] lists s each time _faces[s] gains t. An entry is not
+    taken out when its coefficient is, as dropping it would cost the
+    row's length each time, quadratic on a vertex of high degree: a
+    removed cell's id stays in its faces' coface rows, and an id whose
+    entry was zeroed stays in that face's row, so an id can be listed
+    twice. The cofaces of t are the listed s whose face row holds t, in
+    the order of their last listing, which is the order a dict from
+    coface to coefficient would keep. Only set_incidence, which zeroes
+    one entry at a time, takes its id out. An id is never given to a
+    second cell, which would bring stale entries back: add_cell refuses
+    the id of a removed cell, as it refuses one in use.
     """
 
     def __init__(self, ring: CoefficientRing = GF2):
         self.ring = ring
         self._dims: List[Optional[int]] = []
-        # _faces[s][t] == _cofaces[t][s] == incidence of s with its face t
+        # _faces[s][t] is the incidence of s with its face t, and s is
+        # listed in _cofaces[t] at least once
         self._faces: List[Optional[Dict[int, object]]] = []
-        self._cofaces: List[Optional[Dict[int, object]]] = []
+        self._cofaces: List[Optional[Sequence[int]]] = []
         self._count = 0     # ids holding a cell
 
     # -- construction -------------------------------------------------
@@ -67,9 +88,12 @@ class SComplex:
             self._cofaces.extend(holes)
         elif self._dims[cell_id] is not None:
             raise ComplexError(f"complex: cell id {cell_id} already in use")
+        elif self._cofaces[cell_id] is not None:
+            raise ComplexError(
+                f"complex: cell id {cell_id} belonged to a removed cell")
         self._dims[cell_id] = dim
         self._faces[cell_id] = {}
-        self._cofaces[cell_id] = {}
+        self._cofaces[cell_id] = []
         self._count += 1
         return cell_id
 
@@ -82,23 +106,29 @@ class SComplex:
         """
         ds, dt = self.dim(s), self.dim(t)
         value = self.ring.from_int(value)
+        row = self._faces[s]
         if value == self.ring.zero:
-            self._faces[s].pop(t, None)
-            self._cofaces[t].pop(s, None)
+            if row.pop(t, None) is not None:
+                self._cofaces[t].remove(s)  # s is listed at least once
             return
         if ds != dt + 1:
             raise ComplexError(
                 f"complex: incidence between dim {ds} and dim {dt} cells")
-        self._faces[s][t] = value
-        self._cofaces[t][s] = value
+        if t not in row:
+            self._cofaces[t].append(s)
+        row[t] = value
 
     def remove_cell(self, c: int) -> None:
-        """Delete a cell and every incidence entry that mentions it."""
-        for t, _ in self.boundary(c):
-            del self._cofaces[t][c]
-        for s, _ in self.coboundary(c):
-            del self._faces[s][c]
-        self._dims[c] = self._faces[c] = self._cofaces[c] = None
+        """Delete a cell and every incidence entry that mentions it; its
+        id stays in its faces' coface rows, where readers skip it."""
+        self.dim(c)
+        faces = self._faces
+        for s in self._cofaces[c]:
+            row = faces[s]
+            if row is not None:
+                row.pop(c, None)
+        self._dims[c] = faces[c] = None
+        self._cofaces[c] = _REMOVED
         self._count -= 1
 
     # -- queries ------------------------------------------------------
@@ -150,16 +180,25 @@ class SComplex:
             raise ComplexError(f"complex: no cell {c}")
         return row.items()
 
-    def coboundary(self, c: int) -> ItemsView[int, object]:
-        """Primary cofaces of c with their incidence coefficients, as a
-        read-only view that follows later edits of the complex."""
-        try:
-            row = self._cofaces[c]
-        except IndexError:
-            row = None
-        if row is None or c < 0:
-            raise ComplexError(f"complex: no cell {c}")
-        return row.items()
+    def coboundary(self, c: int) -> List[Tuple[int, object]]:
+        """Primary cofaces of c with their incidence coefficients, in the
+        order their entries were made, as a list that later edits of the
+        complex leave as it is."""
+        self.dim(c)
+        return list(self._coface_row(c).items())
+
+    def _coface_row(self, c: int) -> Dict[int, object]:
+        """The cofaces of the cell c with their coefficients, read from
+        the face rows of the ids c lists, each at its last listing."""
+        faces = self._faces
+        out: Dict[int, object] = {}
+        for s in self._cofaces[c]:
+            row = faces[s]
+            if row is not None and c in row:
+                if s in out:
+                    del out[s]  # listed again: its entry was made again
+                out[s] = row[c]
+        return out
 
     def copy(self) -> "SComplex":
         """An independent copy as a bare SComplex; a SimplicialComplex's
@@ -168,24 +207,38 @@ class SComplex:
         out._dims = list(self._dims)
         out._faces = [None if row is None else dict(row)
                       for row in self._faces]
-        out._cofaces = [None if row is None else dict(row)
-                        for row in self._cofaces]
+        # a removed id stays refused, but no stale entry is copied
+        out._cofaces = [row if d is None else list(self._coface_row(c))
+                        for c, (d, row) in enumerate(zip(self._dims,
+                                                         self._cofaces))]
         out._count = self._count
         return out
 
     def validate(self) -> None:
-        """Check the dimension rule, adjacency symmetry, and dd == 0."""
+        """Check the dimension rule, that the coface rows list every face
+        row entry and no id that was never a cell, and dd == 0."""
         ring = self.ring
         dims, faces, cofaces = self._dims, self._faces, self._cofaces
         cells = self.cells()
+        unlisted = 0    # face row entries not yet found in a coface row
         for s in cells:
-            for t, v in faces[s].items():
+            for t in faces[s]:
                 if dims[s] != dims[t] + 1:
                     raise ComplexError(
                         f"complex: cells {s},{t} break the dimension rule")
-                if cofaces[t].get(s) != v:
+            unlisted += len(faces[s])
+        for t in cells:
+            for s in cofaces[t]:
+                if dims[s] is None and cofaces[s] is not _REMOVED:
                     raise ComplexError(
-                        f"complex: asymmetric incidence for cells {s},{t}")
+                        f"complex: cell {t} lists {s}, which was never a cell")
+            unlisted -= len(self._coface_row(t))
+        if unlisted:
+            for s in cells:
+                for t in faces[s]:
+                    if s not in cofaces[t]:
+                        raise ComplexError(f"complex: asymmetric incidence "
+                                           f"for cells {s},{t}")
         for s in cells:
             acc: Dict[int, object] = {}
             for t, v in faces[s].items():
@@ -221,6 +274,15 @@ class SimplicialComplex(SComplex):
         """Vertex numbers present in the complex, sorted."""
         return sorted(w[0] for w in self.verts
                       if w is not None and len(w) == 1)
+
+    def cell_without_verts(self) -> Optional[int]:
+        """The smallest cell with no vertex tuple, as a cell given by
+        add_cell alone has, or None when every cell has one."""
+        if len(self.cell_by_verts) == len(self):
+            return None
+        verts = self.verts
+        return next(c for c in self.cells()
+                    if c >= len(verts) or verts[c] is None)
 
     def remove_cell(self, c: int) -> None:
         super().remove_cell(c)
@@ -280,9 +342,9 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
                 for i in range(len(w)):
                     t = by_verts[w[:i] + w[i + 1:]]
                     row[t] = signs[i % 2]
-                    cofaces[t][c] = signs[i % 2]
+                    cofaces[t].append(c)
             faces.append(row)
-            cofaces.append({})
+            cofaces.append([])
     except KeyError as e:
         raise ComplexError(f"complex: face {e.args[0]} of simplex {w} "
                            f"is not listed before it") from None

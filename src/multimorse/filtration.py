@@ -77,6 +77,9 @@ class MeasuringFunction:
 def entry_grades(S: SimplicialComplex,
                  f: MeasuringFunction) -> Dict[int, Grade]:
     """Entry grade of every cell of S."""
+    bare = S.cell_without_verts()
+    if bare is not None:
+        raise GradeError(f"grades: cell {bare} has no vertex tuple")
     grades = f.grades
     n = len(grades)
     out: Dict[int, Grade] = {}

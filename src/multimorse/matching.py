@@ -170,6 +170,9 @@ def partition(S: SimplicialComplex, f: MeasuringFunction,
         raise MatchingError("matching: complex is not simplicial")
     if variant not in ("strict", "weak"):
         raise MatchingError(f"matching: unknown variant {variant!r}")
+    bare = S.cell_without_verts()
+    if bare is not None:
+        raise MatchingError(f"matching: cell {bare} has no vertex tuple")
     vids = S.vertex_ids()
     seen: Set[int] = set()
     for v in vids:

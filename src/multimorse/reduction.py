@@ -50,12 +50,13 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
     removed entries and keep every survivor's grade unchanged."""
     # the adjacency tables are read and rewritten in place; every
     # rewritten entry joins a coface of sigma to a face of tau, one
-    # dimension apart, and ring arithmetic keeps it normalized
+    # dimension apart, and ring arithmetic keeps it normalized. A new
+    # entry is listed in its face's coface row and a zeroed one is not
+    # taken out of it (see SComplex).
     faces, cofaces = S._faces, S._cofaces
     if sigma not in S:
         raise ComplexError(f"complex: no cell {sigma}")
-    sigma_row = cofaces[sigma]
-    pivot = sigma_row.get(tau)
+    pivot = faces[tau].get(sigma) if tau in S else None
     if pivot is None:
         raise ReductionError(
             f"reduction: {tau} is not a primary coface of {sigma}")
@@ -65,7 +66,8 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
             f"reduction: incidence {ring.format(pivot)} of pair "
             f"({sigma}, {tau}) is not a unit in {ring.name}")
     tau_faces = {xi: b for xi, b in faces[tau].items() if xi != sigma}
-    sigma_cofaces = {eta: a for eta, a in sigma_row.items() if eta != tau}
+    sigma_cofaces = S._coface_row(sigma)
+    del sigma_cofaces[tau]
     step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces)
     S.remove_cell(sigma)
     S.remove_cell(tau)
@@ -77,13 +79,15 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
         correction = ring.div(a, pivot)
         row = faces[eta]
         for xi, b in tau_faces.items():
-            value = sub(row.get(xi, zero), mul(correction, b))
+            old = row.get(xi)
+            value = sub(zero if old is None else old, mul(correction, b))
             if value == zero:
-                row.pop(xi, None)
-                cofaces[xi].pop(eta, None)
+                if old is not None:
+                    del row[xi]
             else:
+                if old is None:
+                    cofaces[xi].append(eta)
                 row[xi] = value
-                cofaces[xi][eta] = value
     return step
 
 

@@ -167,6 +167,19 @@ def test_ungraded_vertex_is_a_grade_error():
         mm.partition(S, short, [0, 1, 2])
 
 
+def test_cell_without_vertex_tuple_is_refused():
+    # add_cell gives a cell of a SimplicialComplex no vertex tuple, and
+    # neither the matching nor the grades may skip it silently
+    S = mm.build_simplicial(2, [[0, 1]])
+    S.add_cell(0)
+    assert len(S) == 4
+    f = helpers.grades_of(helpers.EDGE_GRADES)
+    with pytest.raises(MatchingError, match="cell 3 has no vertex tuple"):
+        mm.partition(S, f, _index(f))
+    with pytest.raises(GradeError, match="cell 3 has no vertex tuple"):
+        mm.entry_grades(S, f)
+
+
 def test_max_index():
     S = helpers.full_triangle()
     index = [2, 0, 1]

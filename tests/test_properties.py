@@ -1,7 +1,7 @@
 """Property tests over random complexes and grades: ties, k from 1 to
 4, and the rings z2, q, z and z5. They cover the rank oracle, the
-matching against its per-vertex reference, and the reduced-complex file
-format."""
+matching against its per-vertex reference, the incidence tables of a
+reduced complex, and the reduced-complex file format."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -68,6 +68,29 @@ def test_partition_properties(case):
             assert list(P.matched.items()) == list(matched.items())
             assert P.critical == critical
             helpers.assert_matching_invariants(S, f, index, P)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(graded_complexes())
+def test_reduced_complex_tables(case):
+    S, f, variant = case
+    C = mm.reduce_all(S.copy(),
+                      mm.partition(S, f, mm.lex_indexing(f), variant)).complex
+    C.validate()
+    # every coboundary is the transpose of the face rows, no id twice
+    transpose = {c: {} for c in C.cells()}
+    for s in C.cells():
+        for t, v in C.boundary(s):
+            transpose[t][s] = v
+    for c in C.cells():
+        ids = [s for s, _ in C.coboundary(c)]
+        assert len(set(ids)) == len(ids)
+        assert dict(C.coboundary(c)) == transpose[c]
+    # the copy lists exactly the cofaces, in the same order
+    D = C.copy()
+    D.validate()
+    for c in C.cells():
+        assert D._cofaces[c] == [s for s, _ in C.coboundary(c)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)

@@ -1,4 +1,5 @@
 import gc
+import random
 import time
 import tracemalloc
 
@@ -318,6 +319,69 @@ def test_composed_maps_cost_within_factor_of_plain_reduction():
 
     plain, mapped = best_time(False), best_time(True)
     assert mapped <= 10 * plain, (mapped, plain)
+
+
+def _cone_over_cycle(n):
+    """The cone over an n-vertex cycle, its apex n graded above every
+    cycle vertex, with its matching. Reducing it removes the apex's n
+    cofaces one at a time and zeroes entries of the apex's coface row."""
+    S = mm.build_simplicial(n + 1, [(i, (i + 1) % n, n) for i in range(n)])
+    f = helpers.grades_of([(i,) for i in range(n)] + [(n,)])
+    return S, mm.partition(S, f, mm.lex_indexing(f))
+
+
+def test_reduce_all_cost_is_linear_on_a_cone():
+    # a removed or zeroed entry left in a long coface row costs nothing
+    # later; taking each out of the apex's row made this quadratic
+    def best_time(n):
+        S, P = _cone_over_cycle(n)
+        best = float("inf")
+        for _ in range(3):
+            C = S.copy()
+            t0 = time.perf_counter()
+            mm.reduce_all(C, P)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = best_time(2000), best_time(20000)
+    assert large <= 30 * small, (large, small)
+
+
+def test_any_pair_order_keeps_the_coface_rows():
+    # Pairs reduced out of matching order can zero an entry and make it
+    # again, which lists its coface twice. Each coboundary must still be
+    # what a dict from coface to coefficient, rewritten the same way,
+    # holds: every coface once, where its entry was last made.
+    rng = random.Random(1)
+    listed_twice = 0
+    for seed in range(100):
+        S = helpers.random_complex(seed, 8, n_top=8,
+                                   ring=(mm.GF2, mm.INTEGERS)[seed % 2])
+        model = {c: dict(S.coboundary(c)) for c in S.cells()}
+        for _ in range(8):
+            pairs = [(t, s) for s in S.cells() for t, v in S.boundary(s)
+                     if S.ring.is_unit(v)]
+            if not pairs:
+                break
+            sigma, tau = rng.choice(pairs)
+            step = mm.reduce_pair(S, sigma, tau)
+            del model[sigma], model[tau]
+            for row in model.values():
+                row.pop(sigma, None)
+                row.pop(tau, None)
+            for eta in step.sigma_cofaces:
+                for xi in step.tau_faces:
+                    value = S.incidence(eta, xi)
+                    if value == S.ring.zero:
+                        model[xi].pop(eta, None)
+                    else:
+                        model[xi][eta] = value
+            for c in S.cells():
+                assert S.coboundary(c) == list(model[c].items())
+            S.validate()
+        listed_twice += sum(len(set(S._cofaces[c])) < len(S._cofaces[c])
+                            for c in S.cells())
+    assert listed_twice > 0     # the corpus reaches the case
 
 
 def test_matching_stays_acyclic_during_reduction():
