@@ -20,7 +20,7 @@ from .meshio import (Mesh, MeshFormatError, mesh_complex, preset_abs_xy,
                      read_mesh, read_reduced, read_values, write_reduced)
 from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,
                      rank_table, verify_equivalence)
-from .pipeline import (PipelineError, RunConfig, dim_counts, match_table, run,
+from .pipeline import (PipelineError, dim_counts, match_table, run,
                        run_verification, sample_star_submeshes, stats_table)
 from .reduction import (ComposedMaps, ReductionError, ReductionResult,
                         ReductionStep, reduce_all, reduce_pair)

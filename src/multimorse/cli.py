@@ -14,7 +14,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .pipeline import RunConfig, run
+from .pipeline import run
 
 _COMMAND_HELP = {
     "sort": "print vertices in indexing order",
@@ -39,15 +39,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vertex indexing construction")
     common.add_argument("--ring", dest="ring_name", default="z2",
                         metavar="RING",
-                        help="coefficient ring: z2, q, z, or zp (default z2)")
+                        help="coefficient ring: z2, q, z, or zp "
+                             "(default %(default)s)")
     common.add_argument("--qmax", dest="q_max", type=int, default=None,
                         metavar="Q",
                         help="top homology dimension to certify")
     common.add_argument("--max-cells", type=int, default=2000, metavar="N",
                         help="cell cap for whole-complex certification "
-                             "(default 2000)")
+                             "(default %(default)s)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for submesh sampling (default 0)")
+                        help="seed for submesh sampling "
+                             "(default %(default)s)")
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write the reduced complex here")
 
@@ -65,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(RunConfig(**vars(args)))
+        return run(args)
     except ValueError as e:
         print(f"multimorse: {e}", file=sys.stderr)
         return 1

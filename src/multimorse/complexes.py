@@ -4,16 +4,16 @@ An SComplex stores a finite set of cells, each with a dimension, and the
 incidence coefficient between a cell and each of its primary faces (cells
 one dimension down). Coefficients live in a fixed ring. Each is stored
 once, in the face row of the higher cell, a dict from face to
-coefficient; the coface row of a cell is a list of ids, appended to
-whenever a face row gains the cell, so faces and cofaces of a cell are
-both O(degree) lookups. The per-cell tables are lists indexed by cell
-id, with None at an id that holds no cell (never used, or removed), so
-a complex costs one slot per id up to its largest, holes included. Cell
-ids are the integers 0 to CELL_ID_LIMIT - 1, and a removed cell's id is
-never given to another cell. A SimplicialComplex
-additionally remembers the sorted vertex tuple of every cell and derives
-its coefficients from the alternating-sign rule: dropping the i-th
-vertex contributes (-1)**i.
+coefficient. The coface row of a cell is a list of ids, appended to
+whenever a face row gains the cell; coboundary, its one reader, joins
+it to those face rows. Faces and cofaces are O(degree) lookups. The
+per-cell tables are lists indexed by cell id, with None at an id that
+holds no cell (never used, or removed), so a complex costs one slot per
+id up to its largest, holes included. Cell ids are the integers 0 to
+CELL_ID_LIMIT - 1, and a removed cell's id is never given to another
+cell. A SimplicialComplex additionally remembers the sorted vertex tuple
+of every cell and derives its coefficients from the alternating-sign
+rule: dropping the i-th vertex contributes (-1)**i.
 """
 
 from __future__ import annotations
@@ -180,16 +180,12 @@ class SComplex:
             raise ComplexError(f"complex: no cell {c}")
         return row.items()
 
-    def coboundary(self, c: int) -> List[Tuple[int, object]]:
-        """Primary cofaces of c with their incidence coefficients, in the
-        order their entries were made, as a list that later edits of the
-        complex leave as it is."""
+    def coboundary(self, c: int) -> Dict[int, object]:
+        """Primary cofaces of c with their incidence coefficients, as a
+        fresh dict in the order their entries were made (read from the
+        face rows of the ids c lists, each at its last listing), which
+        later edits of the complex leave as it is."""
         self.dim(c)
-        return list(self._coface_row(c).items())
-
-    def _coface_row(self, c: int) -> Dict[int, object]:
-        """The cofaces of the cell c with their coefficients, read from
-        the face rows of the ids c lists, each at its last listing."""
         faces = self._faces
         out: Dict[int, object] = {}
         for s in self._cofaces[c]:
@@ -208,7 +204,7 @@ class SComplex:
         out._faces = [None if row is None else dict(row)
                       for row in self._faces]
         # a removed id stays refused, but no stale entry is copied
-        out._cofaces = [row if d is None else list(self._coface_row(c))
+        out._cofaces = [row if d is None else list(self.coboundary(c))
                         for c, (d, row) in enumerate(zip(self._dims,
                                                          self._cofaces))]
         out._count = self._count
@@ -232,7 +228,7 @@ class SComplex:
                 if dims[s] is None and cofaces[s] is not _REMOVED:
                     raise ComplexError(
                         f"complex: cell {t} lists {s}, which was never a cell")
-            unlisted -= len(self._coface_row(t))
+            unlisted -= len(self.coboundary(t))
         if unlisted:
             for s in cells:
                 for t in faces[s]:

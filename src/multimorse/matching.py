@@ -52,9 +52,6 @@ class MatchPartition:
     def upper(self) -> Set[int]:
         return set(self.matched.values())
 
-    def pairs(self) -> List[Tuple[int, int]]:
-        return list(self.matched.items())
-
 
 Simplex = Tuple[int, ...]
 Admission = Callable[[int, int], bool]

@@ -177,6 +177,8 @@ def read_values(path: str) -> MeasuringFunction:
             raise GradeError(
                 f"grades: {path}: non-finite component on line {number}")
         grades.append(g)
+    if not grades:
+        raise GradeError(f"grades: {path}: no value lines")
     return MeasuringFunction(grades)
 
 

@@ -1,18 +1,18 @@
 """End-to-end drivers shared by the command-line interface.
 
 run() executes one of the five pipeline commands (sort, match, reduce,
-verify, stats) against a mesh file and returns a process exit status:
-0 for success, 1 for input or configuration errors (raised as
-exceptions, mapped by the CLI), 2 for a failed verification. Complexes
-small enough for the oracle are certified whole; larger ones are
-certified on seeded vertex-star submeshes.
+verify, stats) on the settings cli.build_parser defines and returns a
+process exit status: 0 for success, 1 for input or configuration errors
+(raised as exceptions, mapped by the CLI), 2 for a failed verification.
+Complexes small enough for the oracle are certified whole; larger ones
+are certified on seeded vertex-star submeshes.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .complexes import SComplex, SimplicialComplex, complex_from_closure
 from .filtration import MeasuringFunction, entry_grades
@@ -24,6 +24,9 @@ from .oracle import verify_equivalence
 from .reduction import reduce_all
 from .rings import get_ring
 
+if TYPE_CHECKING:
+    from argparse import Namespace
+
 # grade-pair grids are thinned to this many grades in CLI verification;
 # mesh coordinates make nearly every cell grade distinct, and the oracle
 # is cubic in cells per grade pair
@@ -34,36 +37,6 @@ SAMPLE_CELL_LIMIT = 800
 
 class PipelineError(ValueError):
     """Raised for bad run configurations."""
-
-
-class RunConfig:
-    """Everything one CLI invocation needs."""
-
-    def __init__(self, command: str, mesh_path: str,
-                 values_path: Optional[str] = None, variant: str = "strict",
-                 indexing: str = "lex", ring_name: str = "z2",
-                 q_max: Optional[int] = None, max_cells: int = 2000,
-                 seed: int = 0, out: Optional[str] = None):
-        self.command = command
-        self.mesh_path = mesh_path
-        self.values_path = values_path
-        self.variant = variant
-        self.indexing = indexing
-        self.ring_name = ring_name
-        self.q_max = q_max
-        self.max_cells = max_cells
-        self.seed = seed
-        self.out = out
-
-    def validate(self) -> None:
-        if self.command not in ("sort", "match", "reduce", "verify", "stats"):
-            raise PipelineError(f"run: unknown command {self.command!r}")
-        if self.indexing not in ("lex", "kahn"):
-            raise PipelineError(f"run: unknown indexing {self.indexing!r}")
-        if self.max_cells < 0:
-            raise PipelineError("run: --max-cells must be >= 0")
-        if self.q_max is not None and self.q_max < 0:
-            raise PipelineError("run: --qmax must be >= 0")
 
 
 def _table(rows: List[Tuple[str, ...]]) -> str:
@@ -107,17 +80,12 @@ def stats_table(counts: List[int], C: SComplex) -> str:
 
 def match_table(S: SComplex, P: MatchPartition) -> str:
     """Per-dimension sizes of the matched and critical sets."""
-    lower, upper = P.lower, P.upper
+    counts = [Counter(map(S.dim, cells))
+              for cells in (P.matched, P.matched.values(), P.critical)]
     rows = [("q", "#A", "#B", "#C")]
-    totals = [0, 0, 0]
     for q in range(S.max_dim + 1):
-        cells = S.cells_of_dim(q)
-        na = sum(1 for c in cells if c in lower)
-        nb = sum(1 for c in cells if c in upper)
-        nc = sum(1 for c in cells if c in P.critical)
-        totals = [totals[0] + na, totals[1] + nb, totals[2] + nc]
-        rows.append((str(q), str(na), str(nb), str(nc)))
-    rows.append(("total",) + tuple(str(t) for t in totals))
+        rows.append((str(q),) + tuple(str(n[q]) for n in counts))
+    rows.append(("total",) + tuple(str(sum(n.values())) for n in counts))
     return _table(rows)
 
 
@@ -141,7 +109,7 @@ def _ball_submesh(S: SimplicialComplex, center: int,
     while frontier:
         ring_verts = set()
         for v in frontier:
-            for e, _ in S.coboundary(by_verts[(v,)]):
+            for e in S.coboundary(by_verts[(v,)]):
                 ring_verts.update(verts[e])
         ring_verts -= inside
         if not ring_verts:
@@ -156,7 +124,7 @@ def _ball_submesh(S: SimplicialComplex, center: int,
             # cofaces visited
             stack = [by_verts[(v,)]]
             while stack:
-                for c, _ in S.coboundary(stack.pop()):
+                for c in S.coboundary(stack.pop()):
                     w = verts[c]
                     if w not in new and grown.issuperset(w):
                         new.add(w)
@@ -192,7 +160,7 @@ def sample_star_submeshes(S: SimplicialComplex, count: int,
 
 
 def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
-                index: List[int], config: RunConfig):
+                index: List[int], config: Namespace):
     grades = entry_grades(S, f)
     P = partition(S, f, index, config.variant)
     # the oracle reads the original beside the reduction
@@ -203,7 +171,7 @@ def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
 
 
 def run_verification(S: SimplicialComplex, f: MeasuringFunction,
-                     index: List[int], config: RunConfig) -> int:
+                     index: List[int], config: Namespace) -> int:
     """Certify the reduction pipeline on S: whole-complex when it fits
     under the cell cap, else on sampled vertex-star submeshes (a valid
     indexing for f restricts to one for every submesh). Prints the
@@ -227,9 +195,13 @@ def run_verification(S: SimplicialComplex, f: MeasuringFunction,
     return 0 if all_ok else 2
 
 
-def run(config: RunConfig) -> int:
-    """Execute one pipeline command; returns the process exit status."""
-    config.validate()
+def run(config: Namespace) -> int:
+    """Execute one pipeline command, given the settings that
+    cli.build_parser parses; returns the process exit status."""
+    if config.max_cells < 0:
+        raise PipelineError("run: --max-cells must be >= 0")
+    if config.q_max is not None and config.q_max < 0:
+        raise PipelineError("run: --qmax must be >= 0")
     ring = get_ring(config.ring_name)
     mesh = read_mesh(config.mesh_path)
     S = mesh_complex(mesh, ring)

@@ -16,7 +16,7 @@ composite to the identity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from .complexes import ComplexError, SComplex
 from .filtration import Grade
@@ -66,7 +66,7 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
             f"reduction: incidence {ring.format(pivot)} of pair "
             f"({sigma}, {tau}) is not a unit in {ring.name}")
     tau_faces = {xi: b for xi, b in faces[tau].items() if xi != sigma}
-    sigma_cofaces = S._coface_row(sigma)
+    sigma_cofaces = S.coboundary(sigma)
     del sigma_cofaces[tau]
     step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces)
     S.remove_cell(sigma)
@@ -173,7 +173,7 @@ def reduce_all(S: SComplex, matching: MatchPartition,
     dict(grades). A SimplicialComplex stays one: its survivors keep
     their vertex tuples, but their coefficients are the reduced ones.
     """
-    pairs: List[Tuple[int, int]] = matching.pairs()
+    pairs = matching.matched.items()
     maps = None
     if with_maps:
         maps = ComposedMaps(

@@ -69,7 +69,7 @@ def faces(S, c):
 
 def cofaces(S, c):
     """Primary cofaces of c, as a set."""
-    return {s for s, _ in S.coboundary(c)}
+    return set(S.coboundary(c))
 
 
 def cofaces_closure(S, c):
@@ -77,7 +77,7 @@ def cofaces_closure(S, c):
     seen = set()
     stack = [c]
     while stack:
-        for s, _ in S.coboundary(stack.pop()):
+        for s in S.coboundary(stack.pop()):
             if s not in seen:
                 seen.add(s)
                 stack.append(s)

@@ -85,7 +85,8 @@ def test_reduce_holds_little_beyond_the_complex(tmp_path, capsys):
     # has the grades, does not keep the matching past reduce_all, grades
     # only the survivors, and streams the boundary entries out
     mesh = _mesh_file(tmp_path, helpers.sphere_mesh(4))
-    config = pipeline.RunConfig("reduce", mesh, out=str(tmp_path / "r.txt"))
+    config = build_parser().parse_args(
+        ["reduce", mesh, "--out", str(tmp_path / "r.txt")])
     _, (_, loaded) = helpers.traced(
         lambda: mm.mesh_complex(mm.read_mesh(mesh)))
     _, (_, peak) = helpers.traced(lambda: pipeline.run(config))
@@ -237,6 +238,9 @@ def test_input_errors(tmp_path, capsys):
     short = _values_file(tmp_path, [(0, 0), (1, 1)])
     assert main(["match", mesh, "--values", short]) == 1
     assert "value lines" in capsys.readouterr().err
+    empty = _values_file(tmp_path, [], "empty.txt")
+    assert main(["reduce", mesh, "--values", empty]) == 1
+    assert capsys.readouterr().err.endswith("empty.txt: no value lines\n")
 
     assert main(["verify", mesh, "--qmax", "-3"]) == 1
     assert "--qmax" in capsys.readouterr().err

@@ -183,6 +183,12 @@ def test_read_values(tmp_path):
         with pytest.raises(mm.GradeError,
                            match=r"bad\.txt: non-finite component on line 3$"):
             mm.read_values(str(bad))
+    # no value line at all names the file too
+    for text in ("", "# only a comment\n\n"):
+        bad.write_text(text)
+        with pytest.raises(mm.GradeError,
+                           match=r"^grades: .*bad\.txt: no value lines$"):
+            mm.read_values(str(bad))
 
 
 def test_mesh_complex_counts():

@@ -83,14 +83,14 @@ def test_reduced_complex_tables(case):
         for t, v in C.boundary(s):
             transpose[t][s] = v
     for c in C.cells():
-        ids = [s for s, _ in C.coboundary(c)]
+        ids = list(C.coboundary(c))
         assert len(set(ids)) == len(ids)
         assert dict(C.coboundary(c)) == transpose[c]
     # the copy lists exactly the cofaces, in the same order
     D = C.copy()
     D.validate()
     for c in C.cells():
-        assert D._cofaces[c] == [s for s, _ in C.coboundary(c)]
+        assert D._cofaces[c] == list(C.coboundary(c))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)

@@ -187,8 +187,8 @@ def test_reduce_all_orders_agree_on_cells():
             _, _, P, grades = _pipeline(S, f.grades)
             a = mm.reduce_all(S.copy(), P, grades=dict(grades))
             a.complex.validate()
-            dim_desc = sorted(P.pairs(), key=lambda p: -S.dim(p[0]))
-            for pairs in (dim_desc, P.pairs()[::-1]):
+            dim_desc = sorted(P.matched.items(), key=lambda p: -S.dim(p[0]))
+            for pairs in (dim_desc, list(P.matched.items())[::-1]):
                 W, g = S.copy(), dict(grades)
                 for sigma, tau in pairs:
                     mm.reduce_pair(W, sigma, tau, g)
@@ -249,7 +249,7 @@ def _replayed_steps(S, P):
     """The step of every pair, replayed with reduce_pair on a copy of S
     in the pair order reduce_all uses."""
     W = S.copy()
-    return [mm.reduce_pair(W, sigma, tau) for sigma, tau in P.pairs()]
+    return [mm.reduce_pair(W, sigma, tau) for sigma, tau in P.matched.items()]
 
 
 def _composed_step_by_step(S, steps):
@@ -377,7 +377,8 @@ def test_any_pair_order_keeps_the_coface_rows():
                     else:
                         model[xi][eta] = value
             for c in S.cells():
-                assert S.coboundary(c) == list(model[c].items())
+                assert (list(S.coboundary(c).items())
+                        == list(model[c].items()))
             S.validate()
         listed_twice += sum(len(set(S._cofaces[c])) < len(S._cofaces[c])
                             for c in S.cells())

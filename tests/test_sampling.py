@@ -98,6 +98,27 @@ def test_samples_on_disconnected_mesh_with_isolated_vertex():
     assert {sizes[v] for v in range(12)} == {26}
 
 
+def test_sampling_work_follows_samples_not_mesh(monkeypatch):
+    # the deterministic companion of the timed gate below: the coboundary
+    # calls of 20 samples of 400 cells stay flat from L=3 to L=5 (about
+    # 9,300 each); a walk over the whole mesh would grow 16x
+    calls = [0]
+    real = mm.SComplex.coboundary
+
+    def counted(self, c):
+        calls[0] += 1
+        return real(self, c)
+
+    monkeypatch.setattr(mm.SComplex, "coboundary", counted)
+    counts = {}
+    for level in (3, 5):
+        S = mm.mesh_complex(helpers.sphere_mesh(level))
+        calls[0] = 0
+        mm.sample_star_submeshes(S, 20, 400, 0)
+        counts[level] = calls[0]
+    assert counts[5] <= 1.1 * counts[3], counts
+
+
 def test_sampling_time_follows_samples_not_mesh():
     # the ball grows through cofaces, so drawing the same number of
     # same-size samples costs about the same on a 16x larger mesh
