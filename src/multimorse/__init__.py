@@ -7,9 +7,8 @@ with an independent homology oracle that every multidimensional
 persistent homology rank survived.
 """
 
-from .complexes import (ComplexError, SComplex, SimplicialComplex,
-                        build_simplicial, complex_from_simplices,
-                        full_subcomplex)
+from .complexes import (ComplexError, SComplex, build_simplicial,
+                        complex_from_simplices, full_subcomplex)
 from .filtration import (Grade, GradeError, MeasuringFunction,
                          critical_grades, entry_grades, le_neq, leq)
 from .indexing import (ComparabilityDag, build_dag, lex_indexing,

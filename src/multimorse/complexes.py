@@ -11,9 +11,11 @@ per-cell tables are lists indexed by cell id, with None at an id that
 holds no cell (never used, or removed), so a complex costs one slot per
 id up to its largest, holes included. Cell ids are the integers 0 to
 CELL_ID_LIMIT - 1, and a removed cell's id is never given to another
-cell. A SimplicialComplex additionally remembers the sorted vertex tuple
-of every cell and derives its coefficients from the alternating-sign
-rule: dropping the i-th vertex contributes (-1)**i.
+cell. A cell may also carry a label, the sorted tuple of its vertices:
+complex_from_closure gives every cell one, with the coefficients of
+the alternating-sign rule (dropping the i-th vertex contributes
+(-1)**i), and add_cell gives none. The matching and the entry grades
+read the tuples and refuse a cell without one.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class SComplex:
     one entry at a time, takes its id out. An id is never given to a
     second cell, which would bring stale entries back: add_cell refuses
     the id of a removed cell, as it refuses one in use.
+
+    verts[c] is the sorted vertex tuple of cell c, and None where id c
+    holds no cell or a cell without a tuple; cell_by_verts maps each
+    tuple back to its id.
     """
 
     def __init__(self, ring: CoefficientRing = GF2):
@@ -69,6 +75,8 @@ class SComplex:
         self._faces: List[Optional[Dict[int, object]]] = []
         self._cofaces: List[Optional[Sequence[int]]] = []
         self._count = 0     # ids holding a cell
+        self.verts: List[Optional[Tuple[int, ...]]] = []
+        self.cell_by_verts: Dict[Tuple[int, ...], int] = {}
 
     # -- construction -------------------------------------------------
 
@@ -86,6 +94,7 @@ class SComplex:
             self._dims.extend(holes)
             self._faces.extend(holes)
             self._cofaces.extend(holes)
+            self.verts.extend(holes)
         elif self._dims[cell_id] is not None:
             raise ComplexError(f"complex: cell id {cell_id} already in use")
         elif self._cofaces[cell_id] is not None:
@@ -130,6 +139,10 @@ class SComplex:
         self._dims[c] = faces[c] = None
         self._cofaces[c] = _REMOVED
         self._count -= 1
+        w = self.verts[c]
+        if w is not None:
+            del self.cell_by_verts[w]
+            self.verts[c] = None
 
     # -- queries ------------------------------------------------------
 
@@ -196,9 +209,28 @@ class SComplex:
                 out[s] = row[c]
         return out
 
+    def cell_with_verts(self, vertices: Sequence[int]) -> int:
+        key = tuple(sorted(vertices))
+        try:
+            return self.cell_by_verts[key]
+        except KeyError:
+            raise ComplexError(f"complex: no simplex {key}") from None
+
+    def vertex_ids(self) -> List[int]:
+        """Vertex numbers present in the complex, sorted."""
+        return sorted(w[0] for w in self.verts
+                      if w is not None and len(w) == 1)
+
+    def cell_without_verts(self) -> Optional[int]:
+        """The smallest cell with no vertex tuple, as a cell given by
+        add_cell alone has, or None when every cell has one."""
+        if len(self.cell_by_verts) == len(self):
+            return None
+        verts = self.verts
+        return next(c for c in self.cells() if verts[c] is None)
+
     def copy(self) -> "SComplex":
-        """An independent copy as a bare SComplex; a SimplicialComplex's
-        vertex tuples are left behind."""
+        """An independent copy, vertex tuples included."""
         out = SComplex(self.ring)
         out._dims = list(self._dims)
         out._faces = [None if row is None else dict(row)
@@ -208,6 +240,8 @@ class SComplex:
                         for c, (d, row) in enumerate(zip(self._dims,
                                                          self._cofaces))]
         out._count = self._count
+        out.verts = list(self.verts)
+        out.cell_by_verts = dict(self.cell_by_verts)
         return out
 
     def validate(self) -> None:
@@ -246,49 +280,6 @@ class SComplex:
                         f"complex: dd != 0 at cells {s} -> {u}")
 
 
-class SimplicialComplex(SComplex):
-    """An SComplex whose cells are simplices, tagged with vertex tuples.
-
-    verts[c] is the sorted vertex tuple of cell c, and None where id c
-    holds no cell, as in _dims; cell_by_verts maps each tuple back to
-    its id.
-    """
-
-    def __init__(self, ring: CoefficientRing = GF2):
-        super().__init__(ring)
-        self.verts: List[Optional[Tuple[int, ...]]] = []
-        self.cell_by_verts: Dict[Tuple[int, ...], int] = {}
-
-    def cell_with_verts(self, vertices: Sequence[int]) -> int:
-        key = tuple(sorted(vertices))
-        try:
-            return self.cell_by_verts[key]
-        except KeyError:
-            raise ComplexError(f"complex: no simplex {key}") from None
-
-    def vertex_ids(self) -> List[int]:
-        """Vertex numbers present in the complex, sorted."""
-        return sorted(w[0] for w in self.verts
-                      if w is not None and len(w) == 1)
-
-    def cell_without_verts(self) -> Optional[int]:
-        """The smallest cell with no vertex tuple, as a cell given by
-        add_cell alone has, or None when every cell has one."""
-        if len(self.cell_by_verts) == len(self):
-            return None
-        verts = self.verts
-        return next(c for c in self.cells()
-                    if c >= len(verts) or verts[c] is None)
-
-    def remove_cell(self, c: int) -> None:
-        super().remove_cell(c)
-        # a cell given by add_cell alone has no vertex tuple
-        w = self.verts[c] if c < len(self.verts) else None
-        if w is not None:
-            del self.cell_by_verts[w]
-            self.verts[c] = None
-
-
 def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
     """Every face of the given simplices, in (dimension, vertices) order."""
     levels: Dict[int, Set[Tuple[int, ...]]] = {}
@@ -306,7 +297,7 @@ def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
 
 
 def complex_from_simplices(simplices: Iterable[Sequence[int]],
-                           ring: CoefficientRing = GF2) -> SimplicialComplex:
+                           ring: CoefficientRing = GF2) -> SComplex:
     """Build the closure of the given simplices with alternating-sign
     coefficients. Cell ids are assigned in (dimension, vertex-tuple)
     order, so vertices come first in vertex order."""
@@ -314,13 +305,13 @@ def complex_from_simplices(simplices: Iterable[Sequence[int]],
 
 
 def complex_from_closure(closure: Iterable[Tuple[int, ...]],
-                         ring: CoefficientRing = GF2) -> SimplicialComplex:
+                         ring: CoefficientRing = GF2) -> SComplex:
     """Build a complex from a face-closed list of sorted vertex tuples
     with alternating-sign coefficients, giving cell ids in list order.
     In (dimension, vertices) order the list gives what
     complex_from_simplices gives for it; a face missing from the list,
     or listed after its simplex, raises ComplexError."""
-    out = SimplicialComplex(ring)
+    out = SComplex(ring)
     # Written straight into the tables: ids count up from 0, every face
     # of a cell is an earlier cell one dimension down, and +-1 is nonzero
     # in every ring, so the checks of add_cell and set_incidence cannot
@@ -350,7 +341,7 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
 
 def build_simplicial(vertex_count: int,
                      maximal_simplices: Iterable[Sequence[int]],
-                     ring: CoefficientRing = GF2) -> SimplicialComplex:
+                     ring: CoefficientRing = GF2) -> SComplex:
     """Simplicial complex on vertices 0..vertex_count-1; every vertex is
     included even when isolated, and vertex v gets cell id v."""
     simplices: List[Sequence[int]] = [(v,) for v in range(vertex_count)]
@@ -363,8 +354,7 @@ def build_simplicial(vertex_count: int,
     return complex_from_simplices(simplices, ring)
 
 
-def full_subcomplex(S: SimplicialComplex,
-                    vertex_set: Set[int]) -> SimplicialComplex:
+def full_subcomplex(S: SComplex, vertex_set: Set[int]) -> SComplex:
     """Subcomplex of all cells whose vertices lie in vertex_set, keeping
     the original vertex numbering and the ring."""
     kept = sorted(w for w in S.verts

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SComplex
 
 Grade = Tuple[float, ...]
 
@@ -74,7 +74,7 @@ class MeasuringFunction:
             raise GradeError(f"grades: no vertex {hi}")
 
 
-def entry_grades(S: SimplicialComplex,
+def entry_grades(S: SComplex,
                  f: MeasuringFunction) -> Dict[int, Grade]:
     """Entry grade of every cell of S."""
     bare = S.cell_without_verts()

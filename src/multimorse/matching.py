@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import le
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SComplex
 from .filtration import MeasuringFunction
 
 
@@ -43,14 +43,6 @@ class MatchPartition:
     def __init__(self, matched: Dict[int, int], critical: Set[int]):
         self.matched = matched
         self.critical = critical
-
-    @property
-    def lower(self) -> Set[int]:
-        return set(self.matched)
-
-    @property
-    def upper(self) -> Set[int]:
-        return set(self.matched.values())
 
 
 Simplex = Tuple[int, ...]
@@ -154,7 +146,7 @@ def _match_vertex(v_id: int, link: Dict[Simplex, int],
     matched.extend(sub_matched)
 
 
-def partition(S: SimplicialComplex, f: MeasuringFunction,
+def partition(S: SComplex, f: MeasuringFunction,
               index: Sequence[int], variant: str = "strict"
               ) -> MatchPartition:
     """Partition the cells of S into matched pairs and critical cells.
@@ -163,8 +155,6 @@ def partition(S: SimplicialComplex, f: MeasuringFunction,
     cheap necessary conditions are re-checked here), and variant selects
     the strict or weak lower link.
     """
-    if not isinstance(S, SimplicialComplex):
-        raise MatchingError("matching: complex is not simplicial")
     if variant not in ("strict", "weak"):
         raise MatchingError(f"matching: unknown variant {variant!r}")
     bare = S.cell_without_verts()
@@ -189,7 +179,7 @@ def partition(S: SimplicialComplex, f: MeasuringFunction,
     return MatchPartition(dict(pairs), set(critical))
 
 
-def max_index(S: SimplicialComplex, index: Sequence[int], c: int) -> int:
+def max_index(S: SComplex, index: Sequence[int], c: int) -> int:
     """Largest vertex index occurring in cell c."""
     S.dim(c)    # a negative id would alias the end of verts
     return max(index[u] for u in S.verts[c])

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from .complexes import (ComplexError, SComplex, SimplicialComplex,
-                        build_simplicial)
+from .complexes import ComplexError, SComplex, build_simplicial
 from .filtration import Grade, GradeError, MeasuringFunction
 from .rings import GF2, CoefficientRing
 
@@ -188,7 +187,7 @@ def preset_abs_xy(mesh: Mesh) -> MeasuringFunction:
 
 
 def mesh_complex(mesh: Mesh, ring: CoefficientRing = GF2
-                 ) -> SimplicialComplex:
+                 ) -> SComplex:
     """Simplicial complex of a triangle mesh: all vertices (isolated ones
     included), all edges and triangles from the face list."""
     return build_simplicial(len(mesh.vertices), mesh.faces, ring)

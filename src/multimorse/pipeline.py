@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from typing import TYPE_CHECKING, List, Tuple
 
-from .complexes import SComplex, SimplicialComplex, complex_from_closure
+from .complexes import SComplex, complex_from_closure
 from .filtration import MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
@@ -89,8 +89,7 @@ def match_table(S: SComplex, P: MatchPartition) -> str:
     return _table(rows)
 
 
-def _ball_submesh(S: SimplicialComplex, center: int,
-                  cell_limit: int) -> SimplicialComplex:
+def _ball_submesh(S: SComplex, center: int, cell_limit: int) -> SComplex:
     """Grow a vertex ball around center ring by ring, stopping before
     the induced subcomplex would exceed cell_limit cells; the center
     alone is kept whatever the limit.
@@ -141,14 +140,13 @@ def _ball_submesh(S: SimplicialComplex, center: int,
     return complex_from_closure(cells, S.ring)
 
 
-def sample_star_submeshes(S: SimplicialComplex, count: int,
-                          cell_limit: int, seed: int
-                          ) -> List[Tuple[int, SimplicialComplex]]:
+def sample_star_submeshes(S: SComplex, count: int, cell_limit: int,
+                          seed: int) -> List[Tuple[int, SComplex]]:
     """Seeded sample of vertex-star neighborhoods, one per drawn center,
     each at most cell_limit cells."""
     rng = random.Random(seed)
     vids = S.vertex_ids()
-    out: List[Tuple[int, SimplicialComplex]] = []
+    out: List[Tuple[int, SComplex]] = []
     seen = set()
     while len(out) < count and len(seen) < len(vids):
         center = rng.choice(vids)
@@ -159,7 +157,7 @@ def sample_star_submeshes(S: SimplicialComplex, count: int,
     return out
 
 
-def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
+def _verify_one(S: SComplex, f: MeasuringFunction,
                 index: List[int], config: Namespace):
     grades = entry_grades(S, f)
     P = partition(S, f, index, config.variant)
@@ -170,7 +168,7 @@ def _verify_one(S: SimplicialComplex, f: MeasuringFunction,
                               max_grades=VERIFY_GRID_LIMIT)
 
 
-def run_verification(S: SimplicialComplex, f: MeasuringFunction,
+def run_verification(S: SComplex, f: MeasuringFunction,
                      index: List[int], config: Namespace) -> int:
     """Certify the reduction pipeline on S: whole-complex when it fits
     under the cell cap, else on sampled vertex-star submeshes (a valid

@@ -170,8 +170,8 @@ def reduce_all(S: SComplex, matching: MatchPartition,
 
     S and grades are reduced in place and returned in the result; a
     caller that still needs the original passes S.copy() and
-    dict(grades). A SimplicialComplex stays one: its survivors keep
-    their vertex tuples, but their coefficients are the reduced ones.
+    dict(grades). The survivors keep their vertex tuples, and so their
+    entry grades, but their coefficients are the reduced ones.
     """
     pairs = matching.matched.items()
     maps = None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import multimorse as mm
-from multimorse.complexes import ComplexError, SimplicialComplex
+from multimorse.complexes import ComplexError, SComplex
 from multimorse.matching import MatchingError
 from multimorse.oracle import OracleError
 from multimorse.rings import Integers
@@ -124,7 +124,7 @@ def assert_matching_invariants(S, f, index, P):
     cofaces with unit incidence, acyclic modified Hasse diagram, and
     sublevel compatibility of the pairing over the critical grid."""
     cells = set(S.cells())
-    A, B, C = P.lower, P.upper, set(P.critical)
+    A, B, C = set(P.matched), set(P.matched.values()), set(P.critical)
     assert A | B | C == cells
     assert not A & B and not A & C and not B & C
     assert len(P.matched) == len(A)
@@ -508,8 +508,8 @@ def klein_bottle(n=4, ring=mm.INTEGERS):
 # -- reference implementations ------------------------------------------
 # The complex builder and the matching as they were written before the
 # one-sweep versions in the package: a checked add_cell / set_incidence
-# per cell, and a SimplicialComplex per lower link. Tests
-# compare the package against them cell for cell and time them.
+# per cell, and a complex per lower link. Tests compare the package
+# against them cell for cell and time them.
 
 def _reference_closure(simplices):
     seen = set()
@@ -525,11 +525,11 @@ def _reference_closure(simplices):
 
 
 def reference_complex_from_simplices(simplices, ring=mm.GF2):
-    out = SimplicialComplex(ring)
+    out = SComplex(ring)
     plus, minus = ring.from_int(1), ring.from_int(-1)
     for w in _reference_closure(simplices):
         c = out.add_cell(len(w) - 1)
-        out.verts.append(w)
+        out.verts[c] = w
         out.cell_by_verts[w] = c
         for i in range(len(w)):
             if len(w) == 1:
@@ -558,7 +558,7 @@ def _reference_link_of(S, vid, v_cell, admit):
         if all(admit(u, vid) for u in w):
             member.append(w)
     link = reference_complex_from_simplices(member, S.ring) if member \
-        else SimplicialComplex(S.ring)
+        else SComplex(S.ring)
     to_parent = {
         lc: S.cell_by_verts[tuple(sorted(w + (vid,)))]
         for lc, w in enumerate(link.verts)

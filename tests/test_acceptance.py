@@ -128,7 +128,6 @@ def test_criterion_2_worked_example_exactness():
     f = helpers.grades_of(helpers.PATH_GRADES)
     P = mm.partition(S, f, mm.lex_indexing(f))
     assert P.matched == {}
-    assert P.lower == set() and P.upper == set()
     assert P.critical == set(S.cells())
     result = mm.reduce_all(S.copy(), P)
     assert result.complex.cells() == S.cells()

@@ -116,11 +116,13 @@ def test_coboundary_returns_a_fresh_dict():
 def test_copy_is_independent():
     S = helpers.full_triangle(mm.INTEGERS)
     T = S.copy()
-    assert not isinstance(T, mm.SimplicialComplex)
     assert T.cells() == S.cells()
+    assert T.verts == S.verts and T.cell_by_verts == S.cell_by_verts
     T.remove_cell(6)
     assert 6 in S and 6 not in T
     assert S.incidence(6, 5) == 1
+    assert S.verts[6] == (0, 1, 2) and S.cell_with_verts((0, 1, 2)) == 6
+    assert T.verts[6] is None and (0, 1, 2) not in T.cell_by_verts
 
 
 def test_construction_errors():

@@ -93,11 +93,19 @@ def test_partition_kahn_indexing_agrees_on_invariants():
     helpers.assert_max_index_laws(S, index, P)
 
 
-def test_partition_input_errors():
+def _read_back(S, f, tmp_path):
+    """S written as a reduced file and read back: the cells and their
+    coefficients, without vertex tuples."""
+    path = str(tmp_path / "reduced.txt")
+    mm.write_reduced(path, S, mm.entry_grades(S, f), f.k)
+    return mm.read_reduced(path, S.ring)[0]
+
+
+def test_partition_input_errors(tmp_path):
     S = helpers.single_edge()
     f = helpers.grades_of(helpers.EDGE_GRADES)
     with pytest.raises(MatchingError):
-        mm.partition(S.copy(), f, [0, 1])
+        mm.partition(_read_back(S, f, tmp_path), f, [0, 1])
     with pytest.raises(MatchingError):
         mm.partition(S, f, [0])
     with pytest.raises(MatchingError):
@@ -168,8 +176,8 @@ def test_ungraded_vertex_is_a_grade_error():
 
 
 def test_cell_without_vertex_tuple_is_refused():
-    # add_cell gives a cell of a SimplicialComplex no vertex tuple, and
-    # neither the matching nor the grades may skip it silently
+    # add_cell gives a cell no vertex tuple, and neither the matching
+    # nor the grades may skip it silently
     S = mm.build_simplicial(2, [[0, 1]])
     S.add_cell(0)
     assert len(S) == 4
@@ -178,6 +186,23 @@ def test_cell_without_vertex_tuple_is_refused():
         mm.partition(S, f, _index(f))
     with pytest.raises(GradeError, match="cell 3 has no vertex tuple"):
         mm.entry_grades(S, f)
+
+
+def test_complex_without_tuples_gives_typed_errors(tmp_path):
+    # a read-back complex carries no vertex tuples, so the matching and
+    # the grades refuse it by type; a copy keeps them and matches alike
+    S = helpers.full_triangle()
+    f = helpers.grades_of(helpers.FULL_TRIANGLE_GRADES)
+    R = _read_back(S, f, tmp_path)
+    assert R.cells() == S.cells()
+    with pytest.raises(MatchingError, match="cell 0 has no vertex tuple"):
+        mm.partition(R, f, _index(f))
+    with pytest.raises(GradeError, match="cell 0 has no vertex tuple"):
+        mm.entry_grades(R, f)
+    P = mm.partition(S, f, _index(f))
+    Q = mm.partition(S.copy(), f, _index(f))
+    assert list(Q.matched.items()) == list(P.matched.items())
+    assert Q.critical == P.critical
 
 
 def test_max_index():

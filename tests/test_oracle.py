@@ -6,6 +6,7 @@ import time
 import pytest
 
 import multimorse as mm
+from multimorse import oracle
 from multimorse.oracle import EquivalenceReport, OracleError, _thin
 
 import helpers
@@ -391,16 +392,19 @@ def test_torsion_of_known_spaces():
     assert ranks.torsion == [[], [3], []]
 
 
-def test_integer_homology_cost_against_rationals():
-    # the reduced torus of the maps-ties benchmark: 24 x 24 grid, each
-    # point of a 4 x 4 grade grid on 36 vertices, weak partition over z
-    n = 24
-    S = helpers.grid_torus(n, mm.INTEGERS)
+def _reduced_maps_ties_torus():
+    """The reduced torus of the maps-ties benchmark: 24 x 24 grid, each
+    point of a 4 x 4 grade grid on 36 vertices, weak partition over z."""
+    S = helpers.grid_torus(24, mm.INTEGERS)
     values = [(float(a), float(b)) for b in range(4) for a in range(4)] * 36
     random.Random(1).shuffle(values)
     f = mm.MeasuringFunction(values)
     P = mm.partition(S, f, mm.topo_sort_kahn(mm.build_dag(f)), "weak")
-    C = mm.reduce_all(S, P, grades=mm.entry_grades(S, f)).complex
+    return mm.reduce_all(S, P, grades=mm.entry_grades(S, f)).complex
+
+
+def test_integer_homology_cost_against_rationals():
+    C = _reduced_maps_ties_torus()
 
     def timed(ring):
         t0 = time.perf_counter()
@@ -417,6 +421,23 @@ def test_integer_homology_cost_against_rationals():
     assert ranks.betti == [1, 2, 1]
     assert ranks.torsion == [[], [], []]
     assert t_z <= 2 * t_q, f"over z {t_z:.3f} s, over q {t_q:.3f} s"
+
+
+def test_integer_homology_leaves_no_dense_smith_residue(monkeypatch):
+    # the count behind the timing gate above: on the same complex the
+    # sparse unit-pivot pass clears every column, so the dense Smith
+    # step receives an empty matrix in every dimension
+    C = _reduced_maps_ties_torus()
+    shapes = []
+    smith = oracle._smith_diagonal
+
+    def recording(m):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return smith(m)
+
+    monkeypatch.setattr(oracle, "_smith_diagonal", recording)
+    assert mm.homology(C, mm.INTEGERS).torsion == [[], [], []]
+    assert shapes == [(0, 0)] * 3
 
 
 def test_integer_homology_needs_only_the_standard_library(monkeypatch):

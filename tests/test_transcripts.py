@@ -10,9 +10,13 @@ The meshes have coordinates that are exact on every platform: the
 subdivided octahedron uses only midpoints, square roots and division,
 which IEEE 754 rounds correctly, and the torus sits on an integer grid
 with an integer values file.
+
+The Library example of README.md runs here too, so the documented calls
+follow the package's API.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +126,14 @@ def transcript_digest(mesh_name, flag_name, tmp_path, capsys):
 def test_cli_transcript(mesh_name, flag_name, tmp_path, capsys):
     digest = transcript_digest(mesh_name, flag_name, tmp_path, capsys)
     assert digest == DIGESTS[mesh_name, flag_name]
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    helpers.write_off("mesh.off", helpers.sphere_mesh(1))
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "PASS checked=81 grades=8"
