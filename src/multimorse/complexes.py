@@ -280,8 +280,10 @@ class SComplex:
                         f"complex: dd != 0 at cells {s} -> {u}")
 
 
-def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """Every face of the given simplices, in (dimension, vertices) order."""
+def _closure(simplices: Iterable[Sequence[int]]
+             ) -> List[Set[Tuple[int, ...]]]:
+    """Every face of the given simplices, by dimension: entry q is the
+    set of q-simplices, as sorted vertex tuples."""
     levels: Dict[int, Set[Tuple[int, ...]]] = {}
     for simplex in simplices:
         w = tuple(sorted(simplex))
@@ -293,7 +295,13 @@ def _closure(simplices: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
             raise ComplexError("complex: empty simplex")
         for r in range(1, len(w) + 1):
             levels.setdefault(r, set()).update(combinations(w, r))
-    return [s for r in sorted(levels) for s in sorted(levels[r])]
+    return [levels[r] for r in sorted(levels)]
+
+
+def _in_order(levels: List[Set[Tuple[int, ...]]]) -> List[Tuple[int, ...]]:
+    """The cells of a closure in (dimension, vertices) order, each level
+    sorted once."""
+    return [w for level in levels for w in sorted(level)]
 
 
 def complex_from_simplices(simplices: Iterable[Sequence[int]],
@@ -301,7 +309,7 @@ def complex_from_simplices(simplices: Iterable[Sequence[int]],
     """Build the closure of the given simplices with alternating-sign
     coefficients. Cell ids are assigned in (dimension, vertex-tuple)
     order, so vertices come first in vertex order."""
-    return complex_from_closure(_closure(simplices), ring)
+    return complex_from_closure(_in_order(_closure(simplices)), ring)
 
 
 def complex_from_closure(closure: Iterable[Tuple[int, ...]],
@@ -339,11 +347,12 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     return out
 
 
-def build_simplicial(vertex_count: int,
-                     maximal_simplices: Iterable[Sequence[int]],
-                     ring: CoefficientRing = GF2) -> SComplex:
-    """Simplicial complex on vertices 0..vertex_count-1; every vertex is
-    included even when isolated, and vertex v gets cell id v."""
+def simplicial_closure(vertex_count: int,
+                       maximal_simplices: Iterable[Sequence[int]]
+                       ) -> List[Set[Tuple[int, ...]]]:
+    """The closure of the vertices 0..vertex_count-1 and the given
+    simplices, by dimension as _closure gives it; every vertex is
+    included even when isolated."""
     simplices: List[Sequence[int]] = [(v,) for v in range(vertex_count)]
     for s in maximal_simplices:
         for v in s:
@@ -351,12 +360,24 @@ def build_simplicial(vertex_count: int,
                 raise ComplexError(
                     f"complex: vertex {v} outside 0..{vertex_count - 1}")
         simplices.append(s)
-    return complex_from_simplices(simplices, ring)
+    return _closure(simplices)
+
+
+def build_simplicial(vertex_count: int,
+                     maximal_simplices: Iterable[Sequence[int]],
+                     ring: CoefficientRing = GF2) -> SComplex:
+    """Simplicial complex on vertices 0..vertex_count-1; every vertex is
+    included even when isolated, and vertex v gets cell id v."""
+    return complex_from_closure(
+        _in_order(simplicial_closure(vertex_count, maximal_simplices)), ring)
 
 
 def full_subcomplex(S: SComplex, vertex_set: Set[int]) -> SComplex:
     """Subcomplex of all cells whose vertices lie in vertex_set, keeping
     the original vertex numbering and the ring."""
+    bare = S.cell_without_verts()
+    if bare is not None:
+        raise ComplexError(f"complex: cell {bare} has no vertex tuple")
     kept = sorted(w for w in S.verts
                   if w is not None and all(u in vertex_set for u in w))
     kept.sort(key=len)      # stable: (dimension, vertices) order

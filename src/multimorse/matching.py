@@ -182,7 +182,10 @@ def partition(S: SComplex, f: MeasuringFunction,
 def max_index(S: SComplex, index: Sequence[int], c: int) -> int:
     """Largest vertex index occurring in cell c."""
     S.dim(c)    # a negative id would alias the end of verts
-    return max(index[u] for u in S.verts[c])
+    w = S.verts[c]
+    if w is None:
+        raise MatchingError(f"matching: cell {c} has no vertex tuple")
+    return max(index[u] for u in w)
 
 
 def modified_hasse(S, matched: Dict[int, int]) -> Dict[int, List[int]]:

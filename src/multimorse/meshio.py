@@ -87,13 +87,17 @@ def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
                 f"mesh: {name}: bad vertex line {number}") from None
     faces = []
     for number, line in body[nv:nv + nf]:
-        parts = line.split()
-        try:
-            n = int(parts[0])
-            idx = tuple(int(x) for x in parts[1:1 + n])
-        except (IndexError, ValueError):
-            raise MeshFormatError(
-                f"mesh: {name}: bad face line {number}") from None
+        try:    # most face lines are "3 a b c"
+            n, a, b, c = map(int, line.split())
+            idx: Tuple[int, ...] = (a, b, c)
+        except ValueError:
+            parts = line.split()
+            try:
+                n = int(parts[0])
+                idx = tuple(map(int, parts[1:1 + n]))
+            except (IndexError, ValueError):
+                raise MeshFormatError(
+                    f"mesh: {name}: bad face line {number}") from None
         faces.append(_checked_triangle(idx, n, nv, name, number))
     return Mesh(vertices, faces)
 
@@ -102,15 +106,19 @@ def _checked_triangle(idx: Tuple[int, ...], n: int, nv: int, name: str,
                       number: int, first: int = 0) -> Tuple[int, int, int]:
     """Check a face's vertex indices, numbered from first as in the
     file (and so in the messages), and return them numbered from 0."""
+    last = nv + first
+    if n == 3 and len(idx) == 3:
+        a, b, c = idx
+        if a != b != c != a and first <= a < last and first <= b < last \
+                and first <= c < last:
+            return (a - first, b - first, c - first)
     where = f"mesh: {name}: line {number}"
     if n != 3 or len(idx) != 3:
         raise MeshFormatError(f"{where}: non-triangle face {idx}")
     if len(set(idx)) != 3:
         raise MeshFormatError(f"{where}: degenerate face {idx}")
-    for v in idx:
-        if not first <= v < nv + first:
-            raise MeshFormatError(f"{where}: index out of range ({v})")
-    return tuple(v - first for v in idx)  # type: ignore[return-value]
+    bad = next(v for v in idx if not first <= v < last)
+    raise MeshFormatError(f"{where}: index out of range ({bad})")
 
 
 def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
@@ -118,14 +126,13 @@ def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
     raw_faces: List[Tuple[int, Tuple[int, ...]]] = []
     for number, line in numbered:
         parts = line.split()
-        where = f"mesh: {name}: line {number}"
         if parts[0] == "v":
             try:
                 vertices.append(
                     (float(parts[1]), float(parts[2]), float(parts[3])))
             except (IndexError, ValueError):
-                raise MeshFormatError(
-                    f"{where}: bad vertex line {line!r}") from None
+                raise MeshFormatError(f"mesh: {name}: line {number}: "
+                                      f"bad vertex line {line!r}") from None
         elif parts[0] == "f":
             idx = []
             for ref in parts[1:]:
@@ -133,7 +140,8 @@ def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
                     v = int(ref.split("/", 1)[0])
                 except ValueError:
                     raise MeshFormatError(
-                        f"{where}: bad face reference {ref!r}") from None
+                        f"mesh: {name}: line {number}: "
+                        f"bad face reference {ref!r}") from None
                 # -1 is the last vertex read so far; one reaching before
                 # the first is kept as written, to be reported so
                 idx.append(len(vertices) + 1 + v if -len(vertices) <= v < 0

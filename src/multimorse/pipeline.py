@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from typing import TYPE_CHECKING, List, Tuple
 
-from .complexes import SComplex, complex_from_closure
+from .complexes import SComplex, complex_from_closure, simplicial_closure
 from .filtration import MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
@@ -60,21 +60,22 @@ def stats_table(counts: List[int], C: SComplex) -> str:
     and of its reduction C, with percentages kept (one decimal) and a
     totals row. The counts are taken before reduce_all rewrites the
     complex in place."""
+    return _counts_table(counts, dim_counts(C))
+
+
+def _counts_table(counts: List[int], kept: List[int]) -> str:
+    """stats_table from two dim_counts lists."""
 
     def pct(c: int, s: int) -> str:
         return f"{(100.0 * c / s if s else 0.0):.1f}"
 
     rows = [("q", "#S", "#C", "%")]
-    total_s = total_c = 0
-    # a reduction removes cells only, so C has no dimension S lacks
-    kept = Counter(C._dims)
-    for q, ns in enumerate(counts):
-        nc = kept[q]
-        total_s += ns
-        total_c += nc
+    # a reduction removes cells only, so it has no dimension S lacks
+    kept = kept + [0] * (len(counts) - len(kept))
+    for q, (ns, nc) in enumerate(zip(counts, kept)):
         rows.append((str(q), str(ns), str(nc), pct(nc, ns)))
-    rows.append(("total", str(total_s), str(total_c),
-                 pct(total_c, total_s)))
+    rows.append(("total", str(sum(counts)), str(sum(kept)),
+                 pct(sum(kept), sum(counts))))
     return _table(rows)
 
 
@@ -144,6 +145,9 @@ def sample_star_submeshes(S: SComplex, count: int, cell_limit: int,
                           seed: int) -> List[Tuple[int, SComplex]]:
     """Seeded sample of vertex-star neighborhoods, one per drawn center,
     each at most cell_limit cells."""
+    bare = S.cell_without_verts()
+    if bare is not None:
+        raise PipelineError(f"sample: cell {bare} has no vertex tuple")
     rng = random.Random(seed)
     vids = S.vertex_ids()
     out: List[Tuple[int, SComplex]] = []
@@ -202,10 +206,11 @@ def run(config: Namespace) -> int:
         raise PipelineError("run: --qmax must be >= 0")
     ring = get_ring(config.ring_name)
     mesh = read_mesh(config.mesh_path)
-    S = mesh_complex(mesh, ring)
 
     if config.command == "stats":
-        print(stats_table(dim_counts(S), S))
+        counts = [len(level) for level in
+                  simplicial_closure(len(mesh.vertices), mesh.faces)]
+        print(_counts_table(counts, counts))
         return 0
 
     if config.values_path:
@@ -215,6 +220,7 @@ def run(config: Namespace) -> int:
                 f"run: {len(f)} value lines for {len(mesh.vertices)} vertices")
     elif not mesh.vertices:
         # the preset has no grades to give, so every output is empty
+        S = SComplex(ring)
         if config.command == "match":
             print(match_table(S, MatchPartition({}, set())))
         elif config.command == "verify":
@@ -226,8 +232,6 @@ def run(config: Namespace) -> int:
         return 0
     else:
         f = preset_abs_xy(mesh)
-    # nothing below reads the mesh: the complex holds its own faces
-    del mesh
     if config.indexing == "kahn":
         index = topo_sort_kahn(build_dag(f))
     else:
@@ -239,6 +243,9 @@ def run(config: Namespace) -> int:
             print(f"{index[v]} {v} {text}")
         return 0
 
+    S = mesh_complex(mesh, ring)
+    # nothing below reads the mesh: the complex holds its own faces
+    del mesh
     if config.command == "verify":
         return run_verification(S, f, index, config)
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import multimorse as mm
-from multimorse import pipeline
+from multimorse import complexes, pipeline
 from multimorse.cli import build_parser, main
 
 import helpers
@@ -250,3 +251,82 @@ def test_parser_requires_command():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
     assert exc.value.code == 2
+
+
+OBJ_TETRAHEDRON = """\
+v 0.0 0.0 0.0
+v 1.5 0.25 0.0
+v 0.5 2.0 0.0
+v 0.75 0.5 1.0
+f 1 2 3
+f 1/1 2/2 4/3
+f -4 -2 -1
+f 2//1 3//2 4//3
+"""
+
+# an isolated vertex 4 and the face (0, 1, 2) given twice
+ISOLATED_AND_REPEATED = mm.Mesh(
+    [(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.25, 1.0, 0.0), (2.0, 1.5, 0.0),
+     (3.0, 0.75, 1.0)],
+    [(0, 1, 2), (2, 1, 0), (1, 2, 3)])
+
+# stdout of stats, and the sha256 of the stdout of sort, as they were
+# when both built the complex
+STATS_AND_SORT = {
+    "sphere3": ("""\
+    q    #S    #C      %
+    0   258   258  100.0
+    1   768   768  100.0
+    2   512   512  100.0
+total  1538  1538  100.0
+""", "e76226fad5f5489c174a2a73bab3c7b1671c0eef8e5a57c22cbb13ca832b0239"),
+    "tetrahedron.obj": ("""\
+    q  #S  #C      %
+    0   4   4  100.0
+    1   6   6  100.0
+    2   4   4  100.0
+total  14  14  100.0
+""", "82a2bf13e455b12b023158be291478f8ed4a0199a7bffe69302cb85361dc3a50"),
+    "isolated": ("""\
+    q  #S  #C      %
+    0   5   5  100.0
+    1   5   5  100.0
+    2   2   2  100.0
+total  12  12  100.0
+""", "43fa5b698380aac5abb349900c5a464fa7b39b21b134465e86f055d75d202b31"),
+    "empty": ("""\
+    q  #S  #C    %
+total   0   0  0.0
+""", hashlib.sha256(b"").hexdigest()),
+}
+
+
+def _case_file(tmp_path, name):
+    if name == "sphere3":
+        return _mesh_file(tmp_path, helpers.sphere_mesh(3))
+    if name == "tetrahedron.obj":
+        path = tmp_path / name
+        path.write_text(OBJ_TETRAHEDRON)
+        return str(path)
+    if name == "isolated":
+        return _mesh_file(tmp_path, ISOLATED_AND_REPEATED)
+    return _mesh_file(tmp_path, mm.Mesh([], []))
+
+
+@pytest.mark.parametrize("name", sorted(STATS_AND_SORT))
+def test_stats_and_sort_build_no_complex(name, tmp_path, capsys,
+                                         monkeypatch):
+    # stats counts the closure's cells and sort reads only the grades
+    mesh = _case_file(tmp_path, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(complexes, "complex_from_closure", refuse)
+    monkeypatch.setattr(pipeline, "complex_from_closure", refuse)
+    stats, sort_digest = STATS_AND_SORT[name]
+    assert main(["stats", mesh]) == 0
+    assert capsys.readouterr().out == stats
+    assert main(["sort", mesh]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == sort_digest

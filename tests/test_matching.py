@@ -8,6 +8,7 @@ import multimorse as mm
 from multimorse.complexes import ComplexError
 from multimorse.filtration import GradeError
 from multimorse.matching import MatchingError
+from multimorse.pipeline import PipelineError
 
 import helpers
 
@@ -189,8 +190,9 @@ def test_cell_without_vertex_tuple_is_refused():
 
 
 def test_complex_without_tuples_gives_typed_errors(tmp_path):
-    # a read-back complex carries no vertex tuples, so the matching and
-    # the grades refuse it by type; a copy keeps them and matches alike
+    # a read-back complex carries no vertex tuples, so the matching, the
+    # grades and the subcomplexes refuse it by type; a copy keeps them
+    # and matches alike
     S = helpers.full_triangle()
     f = helpers.grades_of(helpers.FULL_TRIANGLE_GRADES)
     R = _read_back(S, f, tmp_path)
@@ -199,6 +201,12 @@ def test_complex_without_tuples_gives_typed_errors(tmp_path):
         mm.partition(R, f, _index(f))
     with pytest.raises(GradeError, match="cell 0 has no vertex tuple"):
         mm.entry_grades(R, f)
+    with pytest.raises(MatchingError, match="cell 2 has no vertex tuple"):
+        mm.max_index(R, [0, 1, 2], 2)
+    with pytest.raises(ComplexError, match="cell 0 has no vertex tuple"):
+        mm.full_subcomplex(R, {0, 1, 2})
+    with pytest.raises(PipelineError, match="cell 0 has no vertex tuple"):
+        mm.sample_star_submeshes(R, 2, 10, 0)
     P = mm.partition(S, f, _index(f))
     Q = mm.partition(S.copy(), f, _index(f))
     assert list(Q.matched.items()) == list(P.matched.items())
