@@ -11,12 +11,13 @@ complex. reduce_all applies every pair of a matching to the complex in
 place, as Kaczynski, Mrozek & Slusarek's reductions rewrite it, and can
 accumulate the composed chain maps: a projection onto the smaller
 complex, an inclusion back, and a degree +1 homotopy connecting their
-composite to the identity.
+composite to the identity, in closed form: in partition's order every
+face of tau but sigma is critical when (sigma, tau) goes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from .complexes import ComplexError, SComplex
 from .filtration import Grade
@@ -26,7 +27,8 @@ from .rings import CoefficientRing
 
 class ReductionError(ValueError):
     """Raised when a pair cannot be reduced (not incident, or the
-    incidence coefficient is not a unit)."""
+    incidence coefficient is not a unit), or when maps are asked for
+    and the pairs come out of partition's order."""
 
 
 class ReductionStep:
@@ -108,41 +110,18 @@ class ComposedMaps:
         self.homotopy = homotopy
 
 
-def _compose_step(maps: ComposedMaps, rows: Dict[int, Set[int]],
-                  step: ReductionStep) -> None:
-    """Fold one elementary reduction into the composed maps. rows[x] is
-    the set of projection columns whose support contains x, kept for the
-    cells still to be removed; only the columns in rows[sigma] and
-    rows[tau] change, so the step costs what it writes."""
+def _compose_step(maps: ComposedMaps, step: ReductionStep) -> None:
+    """Fold one elementary reduction into the composed maps, in closed
+    form: sigma and tau lie in no projection column but their own, which
+    reduce_all checks, so only their columns and the inclusion change."""
     ring = maps.ring
-    proj, incl, homo = maps.projection, maps.inclusion, maps.homotopy
+    incl = maps.inclusion
     sigma, tau, pivot = step.sigma, step.tau, step.pivot
     i_tau = incl.pop(tau)
-    # ascending column ids keep the homotopy dict in cell order
-    hit = sorted(rows.pop(sigma))
-    # homotopy first: it needs the projection columns before this step
-    for g in hit:
-        target = homo.setdefault(g, {})
-        ring.axpy(target, ring.div(proj[g][sigma], pivot), i_tau)
-        if not target:
-            del homo[g]
-    for g in rows.pop(tau):
-        proj[g].pop(tau)
-    for g in hit:
-        col = proj[g]
-        c = col.pop(sigma)
-        for xi, b in step.tau_faces.items():
-            value = ring.sub(col.get(xi, ring.zero),
-                             ring.div(ring.mul(c, b), pivot))
-            row = rows.get(xi)
-            if value == ring.zero:
-                col.pop(xi, None)
-                if row is not None:
-                    row.discard(g)
-            else:
-                col[xi] = value
-                if row is not None:
-                    row.add(g)
+    maps.homotopy[sigma] = {x: ring.div(v, pivot) for x, v in i_tau.items()}
+    maps.projection[sigma] = {xi: ring.neg(ring.div(b, pivot))
+                              for xi, b in step.tau_faces.items()}
+    maps.projection[tau] = {}
     for eta, a in step.sigma_cofaces.items():
         ring.axpy(incl[eta], ring.neg(ring.div(a, pivot)), i_tau)
     del incl[sigma]
@@ -165,16 +144,27 @@ def reduce_all(S: SComplex, matching: MatchPartition,
                with_maps: bool = False) -> ReductionResult:
     """Reduce every matched pair of the matching, in the order the
     matching emitted them. The matching is acyclic, so no elimination
-    changes the pivot of a pair still to come, and any order gives the
-    same result.
+    changes the pivot of a pair still to come, and any order reaches the
+    same complex; only partition's order gives the maps.
 
     S and grades are reduced in place and returned in the result; a
     caller that still needs the original passes S.copy() and
     dict(grades). The survivors keep their vertex tuples, and so their
     entry grades, but their coefficients are the reduced ones.
+
+    With maps, a step whose tau has a face other than sigma in a pair
+    still to come raises ReductionError and leaves S partly reduced. By
+    induction, sigma and tau then lie in no projection column but their
+    own, as _compose_step needs. partition's order passes when its
+    indexing is valid (admitting u below v implies a smaller index): the
+    face w0 of (v, v.w0) and the face rb of a pair (v.ra, v.rb) coned
+    from v's lower link have apexes below v, so were settled in earlier
+    vertex blocks; any other face v.r' of v.rb is v.w0, removed first,
+    or by induction on the link is critical or settled earlier; and a
+    rewrite adds only faces of a removed tau, critical by the same step.
     """
     pairs = matching.matched.items()
-    maps = None
+    maps = pending = None
     if with_maps:
         maps = ComposedMaps(
             S.ring,
@@ -182,11 +172,15 @@ def reduce_all(S: SComplex, matching: MatchPartition,
             inclusion={c: {c: S.ring.one} for c in S.cells()},
             homotopy={},
         )
-        # reverse index of the projection, cell -> columns containing
-        # it, for the matched cells: no step reads a critical cell's row
-        rows: Dict[int, Set[int]] = {c: {c} for pair in pairs for c in pair}
+        # the cells of the pairs not yet reduced
+        pending = {c for pair in pairs for c in pair}
     for sigma, tau in pairs:
         step = reduce_pair(S, sigma, tau, grades)
         if maps is not None:
-            _compose_step(maps, rows, step)
+            pending.discard(sigma)
+            pending.discard(tau)
+            if not pending.isdisjoint(step.tau_faces):
+                raise ReductionError(
+                    f"reduction: a face of {tau} is in a later pair")
+            _compose_step(maps, step)
     return ReductionResult(S, grades, maps)

@@ -721,12 +721,15 @@ def write_off(path, mesh):
 def traced(call):
     """call() and the bytes tracemalloc counts as (result, (current,
     peak)), current taken with the result still alive. gc.collect()
-    first empties the free lists, which would otherwise hand out blocks
-    allocated before tracing began, so the figures repeat exactly."""
+    before the call empties the free lists, which would otherwise hand
+    out blocks allocated before tracing began, so the figures repeat
+    exactly; gc.collect() after it empties them again, so current does
+    not count the temporaries the call freed into them."""
     gc.collect()
     tracemalloc.start()
     try:
         result = call()
+        gc.collect()
         return result, tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

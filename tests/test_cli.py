@@ -245,6 +245,12 @@ def test_input_errors(tmp_path, capsys):
 
     assert main(["verify", mesh, "--qmax", "-3"]) == 1
     assert "--qmax" in capsys.readouterr().err
+    assert main(["verify", mesh, "--max-cells", "-1"]) == 1
+    assert "--max-cells" in capsys.readouterr().err
+
+    out = str(tmp_path / "no-such-dir" / "out.txt")
+    assert main(["reduce", mesh, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("multimorse: io:")
 
 
 def test_parser_requires_command():

@@ -123,6 +123,8 @@ def test_copy_is_independent():
     assert S.incidence(6, 5) == 1
     assert S.verts[6] == (0, 1, 2) and S.cell_with_verts((0, 1, 2)) == 6
     assert T.verts[6] is None and (0, 1, 2) not in T.cell_by_verts
+    with pytest.raises(ComplexError, match=r"no simplex \(0, 1, 2\)"):
+        T.cell_with_verts((2, 1, 0))
 
 
 def test_construction_errors():

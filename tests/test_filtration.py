@@ -41,6 +41,8 @@ def test_measuring_function_validation():
     assert f[1] == (1.0, 2.0)
     with pytest.raises(GradeError):
         mm.MeasuringFunction([])
+    with pytest.raises(GradeError, match="arity zero"):
+        mm.MeasuringFunction([()])
     with pytest.raises(GradeError):
         mm.MeasuringFunction([(0.0, 0.0), (1.0,)])
     with pytest.raises(GradeError):

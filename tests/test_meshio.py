@@ -257,6 +257,13 @@ def test_reduced_bad_files(tmp_path):
     path.write_text("k 1\ncells 2\n0 0 1.0\n1 1 1.0\nboundary 1\n1 0 x\n")
     with pytest.raises(MeshFormatError, match="bad boundary"):
         mm.read_reduced(str(path), mm.INTEGERS)
+    path.write_text("k 1\ncells 1\nx 0 1.0\nboundary 0\n")
+    with pytest.raises(MeshFormatError, match="line 3: bad cell line 'x 0"):
+        mm.read_reduced(str(path))
+    # nor is a file written whose grades do not have the stated arity
+    S = helpers.single_edge()
+    with pytest.raises(MeshFormatError, match="cell 0 grade arity 1 != 2"):
+        mm.write_reduced(str(path), S, {c: (0.0,) for c in S.cells()}, 2)
 
 
 def _reduced_text(tmp_path):

@@ -70,6 +70,7 @@ def test_rank_table_triangle_boundary_frozen():
         expected[0, a, b] = 1
         expected[1, a, b] = 1 if a == b == (1.0, 1.0) else 0
     assert table == expected
+    assert mm.rank_table(mm.SComplex(mm.GF2), {}) == {}
 
 
 def test_verify_equivalence_pass():

@@ -68,6 +68,8 @@ def test_partition_properties(case):
             assert list(P.matched.items()) == list(matched.items())
             assert P.critical == critical
             helpers.assert_matching_invariants(S, f, index, P)
+            # the maps' closed forms hold in the matching's order
+            mm.reduce_all(S.copy(), P, with_maps=True)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

@@ -298,6 +298,24 @@ def test_composed_maps_equal_step_by_step_composition():
                     assert result.maps.homotopy == homo
 
 
+def test_maps_need_the_matching_order():
+    # path 0-1-2, edges 3 = (0,1) and 4 = (1,2): reducing (0, 3) first
+    # removes 3 while its face 1 still waits for (1, 4)
+    S = helpers.path_two_edges(mm.INTEGERS)
+    out_of_order = mm.MatchPartition({0: 3, 1: 4}, {2})
+    gradient = mm.MatchPartition({1: 4, 0: 3}, {2})
+    with pytest.raises(ReductionError, match="a face of 3 is in a later pair"):
+        mm.reduce_all(S.copy(), out_of_order, with_maps=True)
+    plain = mm.reduce_all(S.copy(), out_of_order).complex
+    result = mm.reduce_all(S.copy(), gradient, with_maps=True)
+    assert plain.cells() == result.complex.cells() == [2]
+    assert _boundary_table(plain) == _boundary_table(result.complex)
+    proj, incl, homo = _composed_step_by_step(S, _replayed_steps(S, gradient))
+    assert result.maps.projection == proj
+    assert result.maps.inclusion == incl
+    assert result.maps.homotopy == homo
+
+
 def test_composed_maps_cost_within_factor_of_plain_reduction():
     # The map output grows faster than the cell count (gradient paths
     # lengthen with the mesh), so the gate is a factor over plain

@@ -38,6 +38,8 @@ def test_rationals_exact():
     assert r.is_unit(Fraction(5, 9)) and not r.is_unit(Fraction(0))
     with pytest.raises(RingError):
         r.div(r.one, r.zero)
+    with pytest.raises(RingError, match="0 has no inverse in q"):
+        r.inv(r.zero)
 
 
 def test_integers_units_and_division():
