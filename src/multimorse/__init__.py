@@ -22,7 +22,8 @@ from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,
 from .pipeline import (PipelineError, dim_counts, match_table, run,
                        run_verification, sample_star_submeshes, stats_table)
 from .reduction import (ComposedMaps, ReductionError, ReductionResult,
-                        ReductionStep, reduce_all, reduce_pair)
+                        ReductionStep, cancel_local_pairs, reduce_all,
+                        reduce_pair)
 from .rings import (GF2, INTEGERS, RATIONALS, CoefficientRing, Integers,
                     PrimeField, Rationals, RingError, get_ring)
 

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: sort (print the vertex indexing), match (build and
-summarize the acyclic matching), reduce (remove matched pairs, print the
-stats table, optionally write the reduced complex), verify (certify
-persistence preservation with the homology oracle), stats (input cell
-counts). Exit status: 0 success, 1 input/configuration error, 2 failed
+summarize the acyclic matching), reduce (remove the matched pairs, then
+the equal-grade pairs the matching leaves, print the stats table,
+optionally write the reduced complex), verify (certify persistence
+preservation of that reduction with the homology oracle), stats (input
+cell counts). Exit status: 0 success, 1 input/configuration error, 2 failed
 verification.
 """
 
@@ -19,7 +20,8 @@ from .pipeline import run
 _COMMAND_HELP = {
     "sort": "print vertices in indexing order",
     "match": "build the acyclic matching and print per-dimension counts",
-    "reduce": "reduce to critical cells and print the stats table",
+    "reduce": "remove the matched pairs, then the equal-grade pairs "
+              "the matching leaves, and print the stats table",
     "verify": "reduce and certify persistent ranks against the oracle",
     "stats": "print input cell counts",
 }

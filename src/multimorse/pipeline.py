@@ -4,6 +4,9 @@ run() executes one of the five pipeline commands (sort, match, reduce,
 verify, stats) on the settings cli.build_parser defines and returns a
 process exit status: 0 for success, 1 for input or configuration errors
 (raised as exceptions, mapped by the CLI), 2 for a failed verification.
+reduce and verify remove the matched pairs, then cancel the equal-grade
+pairs the matching leaves (reduction.cancel_local_pairs), so verify
+certifies what reduce writes; match prints the matching alone.
 Complexes small enough for the oracle are certified whole; larger ones
 are certified on seeded vertex-star submeshes.
 """
@@ -21,7 +24,7 @@ from .matching import MatchPartition, is_acyclic, modified_hasse, partition
 from .meshio import mesh_complex, preset_abs_xy, read_mesh, read_values, \
     write_reduced
 from .oracle import verify_equivalence
-from .reduction import reduce_all
+from .reduction import cancel_local_pairs, reduce_all
 from .rings import get_ring
 
 if TYPE_CHECKING:
@@ -167,6 +170,7 @@ def _verify_one(S: SComplex, f: MeasuringFunction,
     P = partition(S, f, index, config.variant)
     # the oracle reads the original beside the reduction
     result = reduce_all(S.copy(), P, grades=dict(grades))
+    cancel_local_pairs(result.complex, result.grades)
     return verify_equivalence(S, grades, result.complex, result.grades,
                               q_max=config.q_max,
                               max_grades=VERIFY_GRID_LIMIT)
@@ -260,8 +264,10 @@ def run(config: Namespace) -> int:
     counts = dim_counts(S)
     C = reduce_all(S, P).complex
     del P   # read by nothing below
+    # a survivor keeps its vertex tuple, and so its entry grade
+    grades = entry_grades(C, f)
+    cancel_local_pairs(C, grades)
     print(stats_table(counts, C))
     if config.out:
-        # a survivor keeps its vertex tuple, and so its entry grade
-        write_reduced(config.out, C, entry_grades(C, f), f.k)
+        write_reduced(config.out, C, grades, f.k)
     return 0

@@ -13,11 +13,17 @@ accumulate the composed chain maps: a projection onto the smaller
 complex, an inclusion back, and a degree +1 homotopy connecting their
 composite to the identity, in closed form: in partition's order every
 face of tau but sigma is critical when (sigma, tau) goes.
+
+The matching sees only what the vertex lower links show, and leaves
+pairs of equal entry grade joined by a unit (the local pairs of
+Fugacci & Kerber, "Chunk reduction for multi-parameter persistent
+homology", 2019). cancel_local_pairs reduces those too, with
+reduce_pair and no maps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import ComplexError, SComplex
 from .filtration import Grade
@@ -184,3 +190,37 @@ def reduce_all(S: SComplex, matching: MatchPartition,
                     f"reduction: a face of {tau} is in a later pair")
             _compose_step(maps, step)
     return ReductionResult(S, grades, maps)
+
+
+def cancel_local_pairs(S: SComplex, grades: Dict[int, Grade]
+                       ) -> List[Tuple[int, int]]:
+    """Reduce, in place, every pair of cells of equal entry grade joined
+    by a unit incidence, and return the pairs in reduction order.
+
+    Each sweep visits the cells in id order and reduces a surviving
+    sigma against its first coface, in coboundary order, of the same
+    grade and unit incidence; sweeps repeat until one reduces nothing.
+    An equal-grade pair restricts to every sublevel complex, so each
+    reduction keeps the filtered homotopy type (Mischaikow & Nanda,
+    "Morse theory for filtrations and efficient computation of
+    persistent homology", 2013). Over a field every nonzero incidence
+    is a unit, so no two cells of equal grade stay incident and the
+    complex ends at the minimal size, n - 2 * sum over grades g of the
+    rank of the boundary restricted to grade g. Over z only +-1
+    pivots qualify."""
+    is_unit = S.ring.is_unit
+    pairs: List[Tuple[int, int]] = []
+    reduced = True
+    while reduced:
+        reduced = False
+        for sigma in S.cells():
+            if sigma not in S:
+                continue    # the tau of a pair reduced in this sweep
+            g = grades[sigma]
+            for tau, a in S.coboundary(sigma).items():
+                if grades[tau] == g and is_unit(a):
+                    reduce_pair(S, sigma, tau, grades)
+                    pairs.append((sigma, tau))
+                    reduced = True
+                    break
+    return pairs

@@ -250,6 +250,8 @@ def get_ring(name: str) -> CoefficientRing:
     key = name.strip().lower()
     if key in _NAMED:
         return _NAMED[key]
-    if key.startswith("z") and key[1:].isdigit():
-        return PrimeField(int(key[1:]))
+    digits = key[1:]
+    # isdigit alone admits "²", which int refuses, and "٣", which it reads
+    if key.startswith("z") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise RingError(f"ring: unknown coefficient ring {name!r}")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import multimorse as mm
+from multimorse import oracle
 from multimorse.complexes import ComplexError, SComplex
 from multimorse.matching import MatchingError
 from multimorse.oracle import OracleError
@@ -442,6 +443,30 @@ def formula_persistent_rank(S, grades, alpha, beta, q, fld):
     return (len(q_a) - _matrix_rank([column(c, cells_a) for c in q_a], fld)
             - _matrix_rank([column(c, cells_b) for c in up_b], fld)
             + _matrix_rank([column(c, outside) for c in up_b], fld))
+
+
+# -- minimal size over a field --------------------------------------------
+
+def field_floor(S, grades, fld):
+    """Fewest cells a reduction of equal-grade pairs can leave over the
+    field fld: len(S) - 2 * sum over grades g of the rank of the boundary
+    restricted to the cells of grade g. Over a field a graded complex
+    splits into a minimal part and pairs of equal grade joined by a unit,
+    and the minimal part is unique up to isomorphism. Each block is ranked
+    with the oracle's elimination; nothing comes from the reduction
+    module. A complex over Z is read over fld = Q as it is."""
+    blocks = {}
+    for c in S.cells():
+        blocks.setdefault(grades[c], []).append(c)
+    rank = 0
+    for g, cells in blocks.items():
+        cols = [(c, {t: v for t, v in S.boundary(c) if grades[t] == g})
+                for c in cells]
+        # the faces of one dimension's columns are the cells of the one
+        # below, so one elimination ranks every dimension of the block
+        _, pivots = oracle._eliminate(cols, fld, False, {})
+        rank += len(pivots)
+    return len(S) - 2 * rank
 
 
 # -- integer torsion ------------------------------------------------------

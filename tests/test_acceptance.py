@@ -12,6 +12,9 @@ pass/fail line per criterion.
    deterministic companion that counts the cells the partition visits
 7. indexing validity on one thousand random grade sets
 8. maximum-vertex-index laws on every produced matching
+9. the local-pair pass after the matching leaves the minimal size over
+   Z/2, Q and Z/5 on criterion 1's corpus, and the matching alone never
+   goes below it
 """
 
 import functools
@@ -280,3 +283,36 @@ def test_criterion_8_max_index_laws():
         for variant in ("strict", "weak"):
             P = mm.partition(S, f, index, variant)
             helpers.assert_max_index_laws(S, index, P)
+
+
+def test_criterion_9_local_pairs_reach_the_field_floor():
+    # totals over the corpus, both variants: cells in, kept by the
+    # matching alone, and left after the pass (the floor over a field)
+    totals = {"strict": (2075, 1259, 483), "weak": (2075, 941, 483)}
+    for ring_name in ("z2", "q", "z5", "z"):
+        cases = [(_corpus_complex(seed, ring_name), _corpus_grades(seed))
+                 for seed in CORPUS_SEEDS]
+        cases.extend(_worked_examples(ring_name))
+        for variant, expected in totals.items():
+            cells = kept = left = 0
+            for S, f in cases:
+                grades = mm.entry_grades(S, f)
+                P = mm.partition(S, f, mm.lex_indexing(f), variant)
+                result = mm.reduce_all(S.copy(), P, grades=dict(grades))
+                C = result.complex
+                matched = len(C)
+                mm.cancel_local_pairs(C, result.grades)
+                assert mm.cancel_local_pairs(C, result.grades) == []
+                if ring_name == "z":
+                    # only +-1 pivots qualify over Z: the floor over Q
+                    # bounds the count, and no optimality is claimed
+                    least = helpers.field_floor(S, grades, mm.RATIONALS)
+                    assert len(C) >= least
+                else:
+                    least = helpers.field_floor(S, grades, S.ring)
+                    assert len(C) == least
+                assert matched >= least
+                cells += len(S)
+                kept += matched
+                left += len(C)
+            assert (cells, kept, left) == expected, (ring_name, variant)

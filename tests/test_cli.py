@@ -173,6 +173,58 @@ def test_verify_checks_against_the_unreduced_input(tmp_path, capsys,
     assert out[-1].startswith("FAIL samples=")
 
 
+def test_verify_certifies_the_local_pairs(tmp_path, capsys, monkeypatch):
+    # a pass that also cancels one pair of unequal grades fails verify:
+    # the oracle checks what the pass leaves, here on the octahedron's
+    # four grades, a grid verify does not thin
+    real = pipeline.cancel_local_pairs
+
+    def overreaching(C, grades):
+        pairs = real(C, grades)
+        sigma, tau = next(
+            (s, t) for s in C.cells() for t, a in C.coboundary(s).items()
+            if grades[t] != grades[s] and C.ring.is_unit(a))
+        mm.reduce_pair(C, sigma, tau, grades)
+        return pairs + [(sigma, tau)]
+
+    octa = _mesh_file(tmp_path, mm.Mesh(helpers.OCTAHEDRON_VERTICES,
+                                        helpers.OCTAHEDRON_FACES))
+    assert main(["verify", octa]) == 0
+    assert capsys.readouterr().out.strip().endswith("grades=4")
+    monkeypatch.setattr(pipeline, "cancel_local_pairs", overreaching)
+    assert main(["verify", octa]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1].startswith("FAIL mismatches=")
+
+
+@pytest.mark.parametrize("ring_name", ["z2", "q", "z5", "z"])
+def test_reduce_keeps_the_field_floor(ring_name, tmp_path, capsys):
+    # rotated L=4 sphere: the matching alone keeps 4,322 of 6,146 cells,
+    # and the local pairs take reduce to 666, the floor over a field;
+    # over Z only +-1 pivots qualify, so 666 there is a count, bounded
+    # below by the floor over Q, and no claim of optimality
+    mesh = helpers.rotated_sphere_mesh(4, 11)
+    ring = mm.get_ring(ring_name)
+    S = mm.mesh_complex(mesh, ring)
+    f = mm.preset_abs_xy(mesh)
+    grades = mm.entry_grades(S, f)
+    floor = helpers.field_floor(S, grades, ring if ring.is_field
+                                else mm.RATIONALS)
+    assert floor == 666
+    P = mm.partition(S, f, mm.lex_indexing(f))
+    assert len(mm.reduce_all(S.copy(), P).complex) == 4322
+
+    path = _mesh_file(tmp_path, mesh)
+    out_path = tmp_path / "reduced.txt"
+    assert main(["reduce", path, "--ring", ring_name,
+                 "--out", str(out_path)]) == 0
+    assert _last_row(capsys.readouterr().out) == ["total", "6146", "666",
+                                                  "10.8"]
+    C, written = mm.read_reduced(str(out_path), ring)
+    assert len(C) == floor
+    assert mm.cancel_local_pairs(C, written) == []
+
+
 def test_preset_default_on_octahedron(tmp_path, capsys):
     mesh = _mesh_file(tmp_path, mm.Mesh(helpers.OCTAHEDRON_VERTICES,
                                         helpers.OCTAHEDRON_FACES))
@@ -235,6 +287,9 @@ def test_input_errors(tmp_path, capsys):
     mesh = _mesh_file(tmp_path, TRIANGLE)
     assert main(["reduce", mesh, "--ring", "z6"]) == 1
     assert "multimorse:" in capsys.readouterr().err
+    for name in ("z\u00b2", "z\u0663"):     # z², z٣
+        assert main(["reduce", mesh, "--ring", name]) == 1
+        assert capsys.readouterr().err.startswith("multimorse: ring:")
 
     short = _values_file(tmp_path, [(0, 0), (1, 1)])
     assert main(["match", mesh, "--values", short]) == 1

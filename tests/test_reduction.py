@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import multimorse as mm
+from multimorse import reduction
 from multimorse.reduction import ReductionError
 
 import helpers
@@ -414,6 +415,47 @@ def test_matching_stays_acyclic_during_reduction():
             mm.reduce_pair(W, s, t, grades)
             del remaining[s]
             assert mm.is_acyclic(mm.modified_hasse(W, remaining))
+
+
+def test_local_pairs_count_their_reductions(monkeypatch):
+    # a deterministic companion to the pass's cost: the reduce_pair calls
+    # it makes on rotated L=4 over Z/2, counted by wrapping
+    mesh = helpers.rotated_sphere_mesh(4, 11)
+    S = mm.mesh_complex(mesh)
+    f = mm.preset_abs_xy(mesh)
+    C = mm.reduce_all(S, mm.partition(S, f, mm.lex_indexing(f))).complex
+    grades = mm.entry_grades(C, f)
+    calls = []
+    real = reduction.reduce_pair
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "reduce_pair", counting)
+    pairs = mm.cancel_local_pairs(C, grades)
+    assert len(calls) == len(pairs) == 1828
+    assert calls == pairs
+    assert len(C) == 4322 - 2 * 1828
+    assert sorted(grades) == C.cells()
+    C.validate()
+    # a further sweep reduces nothing
+    assert mm.cancel_local_pairs(C, grades) == []
+    assert len(calls) == 1828
+
+
+def test_local_pairs_skip_non_units_over_z():
+    # the boundary 2 of a 1-cell on a 0-cell of the same grade is no
+    # unit over Z, so nothing is cancelled; over Q it is
+    for ring, left in ((mm.INTEGERS, [0, 1]), (mm.RATIONALS, [])):
+        S = mm.SComplex(ring)
+        S.add_cell(0)
+        S.add_cell(1)
+        S.set_incidence(1, 0, 2)
+        grades = {0: (0.0,), 1: (0.0,)}
+        pairs = mm.cancel_local_pairs(S, grades)
+        assert S.cells() == left
+        assert pairs == ([] if left else [(0, 1)])
 
 
 def test_reduce_pair_errors():

@@ -66,6 +66,13 @@ def test_get_ring_names():
         mm.get_ring("gf7")
 
 
+@pytest.mark.parametrize("name", ["z\u00b2", "z\u0663"])
+def test_get_ring_refuses_non_ascii_digits(name):
+    # "z²" once raised a bare ValueError from int(), and "z٣" gave z3
+    with pytest.raises(RingError, match="^ring: unknown"):
+        mm.get_ring(name)
+
+
 def test_prime_field_normalization():
     r = mm.get_ring("z7")
     assert r.parse("-1") == 6

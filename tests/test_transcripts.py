@@ -55,35 +55,35 @@ COMMANDS = [
 
 DIGESTS = {
     ("sphere1", "q-qmax1"):
-        "1a0c98936d327f50b70807501e49bb2bbd4f8b04429e86058e1d9b76bb75003c",
+        "47ba0e080abb7c64cadfb884454c543f5ef746a1d24b33fc74873726a28a7bab",
     ("sphere1", "strict-lex"):
-        "e3a4e7fc1e417ecf24b7f8fdc685c2550794b98c743c6ec5a56cd5a02f9e7763",
+        "7f86ad486cb0028a36d034a136b16f89e03ed8619e626024cabd7a14c6847110",
     ("sphere1", "weak-kahn"):
-        "caf1d24fc9734a7bfd0a10db497a7eb2ad56892f2f1c1d183477374cf2c943f6",
+        "36d1efc724126803e3d734af569ca0adb518d2b35507af8392a9640b353534f3",
     ("sphere1", "weak-z5"):
-        "81f03a977b66a51cc8c7ef9b5637b1b5149f20aba0e5e0f9d0b0c0d34d6a7c05",
+        "a6a1f93885c1b3a5f590ee38a8abdc9306c1d4a65647430ec7d404b0d02e4aa4",
     ("sphere1", "z"):
-        "b78ed6cda0777ef67cb44a15cb2b33a4056c81c06e6482151e89296714092546",
+        "cf07ce2a04298242a603702618b91db6de0cce57e4debfcb40c214e566147b8a",
     ("sphere2", "q-qmax1"):
-        "469b6ab72b947a0898fba0954e73c261a01a7b300bc62c9f05d15ce8e84ed04e",
+        "e765a15d0f7b547bb0168c8eadfdf2e2f5e8e06c279b39635f4272570fa1dcec",
     ("sphere2", "strict-lex"):
-        "cd8f0df3c4c0f739ea617afe912157bc0cf7751d4ac5d253b7d90ac21079d365",
+        "afc4ae4c89ad04bca4d19a0c210a1f152f75a451680fb1a94057c9ffd82a66dc",
     ("sphere2", "weak-kahn"):
-        "cc7f3dbe7e577eb2c2bd0bd86a16ce77f37e0127201b4ec467624f8cabe1ef83",
+        "df5106f0e0d26381bb5df90916b5da9ecd1bd859b20d75401f561f347d2b4198",
     ("sphere2", "weak-z5"):
-        "6d5e99a4347dad0e09470c0e58777686ca9df0f7d4341bf26c0d1410b6c96d02",
+        "b34a47fb0ca206aa1ef006fef313e034c60da91dd0a687af41baf0fcbdbf1cb9",
     ("sphere2", "z"):
-        "c39b9981766a3c6e0410c4b1df9ac2089d36ed773c8f2e59a75404fa72e235e7",
+        "b04bd6d305b8a6f7d01f545b28645d68531eea241a0f9d4f37c9a64eaa0b1da0",
     ("torus6", "q-qmax1"):
-        "1378875c0317b4a5a05a53ffa159606a8a97d7bb975ae25d8678a4a55c2e3954",
+        "589859c63c909b550357994a177bc82408fd6ed30957cb95054386b4e7215bd5",
     ("torus6", "strict-lex"):
-        "28295443be5c761adbbb4a10a1e2b701ec5b0aa8f89aadb46a4ceb7f93b1a65e",
+        "ebd65aeaad0b21e2cea564160fdf8068b1451a789df9a54d093364a6824ee932",
     ("torus6", "weak-kahn"):
-        "80e4981b960fee4b05ffa23802fbc3aea2b1c960a8d096fef372ec523800a282",
+        "a01c3500a3e087dc01a10e9779ee46e166136ae76598eda82fd3975b60ece4b2",
     ("torus6", "weak-z5"):
-        "062fa9135bc9e38853d04351bd0e5b5e8f65fdc834f11683ebe238bbcd655feb",
+        "f20201606e5fe66aafba10470a20722c032f753bd01dc36c1885f9528b3f3bcd",
     ("torus6", "z"):
-        "95c10e4132adaf1ce9c03157eae337087748c43f5dd875a7e285e11f7259c0b3",
+        "407313526dd1cb8db0b901ce3b9a4c0a224c35f317f4e512bf72476b57b1931b",
 }
 
 
@@ -95,9 +95,10 @@ def _torus_values(path):
                 fh.write(f"{i % 3} {(i + 2 * j) % 4}\n")
 
 
-def transcript_digest(mesh_name, flag_name, tmp_path, capsys):
+def transcript_digests(mesh_name, flag_name, tmp_path, capsys):
     """sha256 of every command's argv (without paths), stdout, stderr,
-    exit status and written file, in COMMANDS order."""
+    exit status and written file, in COMMANDS order, and the sha256 of
+    each command's own parts, as (command, digest) pairs."""
     mesh_path = str(tmp_path / "mesh.off")
     helpers.write_off(mesh_path, MESHES[mesh_name]())
     inputs = [mesh_path]
@@ -107,6 +108,7 @@ def transcript_digest(mesh_name, flag_name, tmp_path, capsys):
         inputs += ["--values", values_path]
     out_path = tmp_path / "reduced.txt"
     h = hashlib.sha256()
+    per_command = []
     for command in COMMANDS:
         if out_path.exists():
             out_path.unlink()
@@ -114,18 +116,25 @@ def transcript_digest(mesh_name, flag_name, tmp_path, capsys):
         status = main(args[:1] + inputs + args[1:] + FLAGS[flag_name])
         captured = capsys.readouterr()
         written = out_path.read_bytes() if out_path.exists() else b""
+        own = hashlib.sha256()
         for part in (" ".join(command).encode(), captured.out.encode(),
                      captured.err.encode(), str(status).encode(), written):
-            h.update(len(part).to_bytes(8, "big"))
-            h.update(part)
-    return h.hexdigest()
+            for digest in (h, own):
+                digest.update(len(part).to_bytes(8, "big"))
+                digest.update(part)
+        per_command.append((" ".join(command), own.hexdigest()))
+    return h.hexdigest(), per_command
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 @pytest.mark.parametrize("flag_name", sorted(FLAGS))
 def test_cli_transcript(mesh_name, flag_name, tmp_path, capsys):
-    digest = transcript_digest(mesh_name, flag_name, tmp_path, capsys)
-    assert digest == DIGESTS[mesh_name, flag_name]
+    digest, per_command = transcript_digests(mesh_name, flag_name,
+                                             tmp_path, capsys)
+    # on a mismatch, the per-command digests, set beside those of the
+    # last passing tree, show which command moved
+    assert digest == DIGESTS[mesh_name, flag_name], "\n".join(
+        f"{command}: {own}" for command, own in per_command)
 
 
 def test_readme_library_example(tmp_path, monkeypatch, capsys):
