@@ -15,7 +15,9 @@ cell. A cell may also carry a label, the sorted tuple of its vertices:
 complex_from_closure gives every cell one, with the coefficients of
 the alternating-sign rule (dropping the i-th vertex contributes
 (-1)**i), and add_cell gives none. The matching and the entry grades
-read the tuples and refuse a cell without one.
+read the tuples and refuse a cell without one. The complex keeps no
+index from tuple to id: its readers address cells by id, and the few
+that look cells up by vertices build their own map.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class SComplex:
     the id of a removed cell, as it refuses one in use.
 
     verts[c] is the sorted vertex tuple of cell c, and None where id c
-    holds no cell or a cell without a tuple; cell_by_verts maps each
-    tuple back to its id.
+    holds no cell or a cell without a tuple; no two cells share a
+    tuple.
     """
 
     def __init__(self, ring: CoefficientRing = GF2):
@@ -76,7 +78,6 @@ class SComplex:
         self._cofaces: List[Optional[Sequence[int]]] = []
         self._count = 0     # ids holding a cell
         self.verts: List[Optional[Tuple[int, ...]]] = []
-        self.cell_by_verts: Dict[Tuple[int, ...], int] = {}
 
     # -- construction -------------------------------------------------
 
@@ -139,10 +140,7 @@ class SComplex:
         self._dims[c] = faces[c] = None
         self._cofaces[c] = _REMOVED
         self._count -= 1
-        w = self.verts[c]
-        if w is not None:
-            del self.cell_by_verts[w]
-            self.verts[c] = None
+        self.verts[c] = None
 
     # -- queries ------------------------------------------------------
 
@@ -210,10 +208,12 @@ class SComplex:
         return out
 
     def cell_with_verts(self, vertices: Sequence[int]) -> int:
+        """The id of the cell with these vertices, found by a scan of
+        verts in O(cells)."""
         key = tuple(sorted(vertices))
         try:
-            return self.cell_by_verts[key]
-        except KeyError:
+            return self.verts.index(key)
+        except ValueError:
             raise ComplexError(f"complex: no simplex {key}") from None
 
     def vertex_ids(self) -> List[int]:
@@ -224,9 +224,11 @@ class SComplex:
     def cell_without_verts(self) -> Optional[int]:
         """The smallest cell with no vertex tuple, as a cell given by
         add_cell alone has, or None when every cell has one."""
-        if len(self.cell_by_verts) == len(self):
-            return None
         verts = self.verts
+        # verts has None at every id that holds no cell, so a tuple for
+        # each cell leaves no other None
+        if len(verts) - verts.count(None) == self._count:
+            return None
         return next(c for c in self.cells() if verts[c] is None)
 
     def copy(self) -> "SComplex":
@@ -241,7 +243,6 @@ class SComplex:
                                                          self._cofaces))]
         out._count = self._count
         out.verts = list(self.verts)
-        out.cell_by_verts = dict(self.cell_by_verts)
         return out
 
     def validate(self) -> None:
@@ -318,7 +319,8 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     with alternating-sign coefficients, giving cell ids in list order.
     In (dimension, vertices) order the list gives what
     complex_from_simplices gives for it; a face missing from the list,
-    or listed after its simplex, raises ComplexError."""
+    or listed after its simplex, and a tuple listed twice raise
+    ComplexError."""
     out = SComplex(ring)
     # Written straight into the tables: ids count up from 0, every face
     # of a cell is an earlier cell one dimension down, and +-1 is nonzero
@@ -326,7 +328,9 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     # fail (short of CELL_ID_LIMIT cells, which no memory holds).
     signs = (ring.from_int(1), ring.from_int(-1))
     dims, faces, cofaces = out._dims, out._faces, out._cofaces
-    verts, by_verts = out.verts, out.cell_by_verts
+    verts = out.verts
+    # the face lookup lives only until the complex is built
+    by_verts: Dict[Tuple[int, ...], int] = {}
     try:
         for c, w in enumerate(closure):
             dims.append(len(w) - 1)
@@ -343,6 +347,10 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     except KeyError as e:
         raise ComplexError(f"complex: face {e.args[0]} of simplex {w} "
                            f"is not listed before it") from None
+    if len(by_verts) != len(verts):
+        # the first listing of a repeat maps to a later id
+        w = next(w for c, w in enumerate(verts) if by_verts[w] != c)
+        raise ComplexError(f"complex: simplex {w} is listed twice")
     out._count = len(dims)
     return out
 

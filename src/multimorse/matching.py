@@ -26,7 +26,8 @@ a bijection and the reversed Hasse diagram acyclic.
 from __future__ import annotations
 
 from operator import le
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, \
+    Union
 
 from .complexes import SComplex
 from .filtration import MeasuringFunction
@@ -47,6 +48,9 @@ class MatchPartition:
 
 Simplex = Tuple[int, ...]
 Admission = Callable[[int, int], bool]
+# cells by id: a dict, or a list indexed by id with None at the ids that
+# hold no cell, as SComplex.verts is
+Cells = Union[Dict[int, Simplex], List[Optional[Simplex]]]
 
 
 def _admission(grades: Sequence[Tuple[float, ...]],
@@ -80,26 +84,28 @@ def _apex(w: Simplex, admit: Admission) -> int | None:
     return top
 
 
-def _partition_core(cells: Dict[Simplex, int],
-                    grades: Sequence[Tuple[float, ...]],
+def _partition_core(cells: Cells, grades: Sequence[Tuple[float, ...]],
                     index: Sequence[int], admit: Admission
                     ) -> Tuple[List[Tuple[int, int]], List[int],
                                List[Tuple[int, int]]]:
-    """Partition a face-closed set of vertex tuples, each mapped to the
-    id its caller knows it by. Returns the matched pairs of ids in
+    """Partition a face-closed set of vertex tuples, given by the ids
+    its caller knows them by. Returns the matched pairs of ids in
     emission order, the critical ids of dimension >= 1, and the critical
     points as (vertex, id).
 
-    One pass records the cells each apex owns; a vertex's lower link is
-    built when the vertex comes up, in index order, and dropped after
-    it. A link cell keeps the id of the cell it was cut from, which is
-    its cone with the vertex, so the ids the recursion hands back need
-    no translation. Cells without an apex are critical. The output does
-    not depend on the order of `cells`."""
+    One pass records the ids of the cells each apex owns; a vertex's
+    lower link is built when the vertex comes up, in index order, and
+    dropped after it. A link cell keeps the id of the cell it was cut
+    from, which is its cone with the vertex, so the ids the recursion
+    hands back need no translation. Cells without an apex are critical.
+    The output does not depend on the order of `cells`."""
     points: Dict[int, int] = {}
-    owned: Dict[int, List[Simplex]] = {}
+    owned: Dict[int, List[int]] = {}
     critical: List[int] = []
-    for w, c in cells.items():
+    items = enumerate(cells) if isinstance(cells, list) else cells.items()
+    for c, w in items:
+        if w is None:
+            continue    # an id that holds no cell
         if len(w) == 1:
             points[w[0]] = c
             continue
@@ -107,7 +113,7 @@ def _partition_core(cells: Dict[Simplex, int],
         if top is None:
             critical.append(c)
         else:
-            owned.setdefault(top, []).append(w)
+            owned.setdefault(top, []).append(c)
     matched: List[Tuple[int, int]] = []
     lone: List[Tuple[int, int]] = []
     for v in sorted(points, key=index.__getitem__):
@@ -115,13 +121,13 @@ def _partition_core(cells: Dict[Simplex, int],
         if mine is None:
             lone.append((v, points[v]))
             continue
-        link = {tuple(u for u in w if u != v): cells[w] for w in mine}
+        link = {c: tuple(u for u in cells[c] if u != v) for c in mine}
         _match_vertex(points[v], link, grades, index, admit, matched,
                       critical)
     return matched, critical, lone
 
 
-def _match_vertex(v_id: int, link: Dict[Simplex, int],
+def _match_vertex(v_id: int, link: Dict[int, Simplex],
                   grades: Sequence[Tuple[float, ...]], index: Sequence[int],
                   admit: Admission, matched: List[Tuple[int, int]],
                   critical: List[int]) -> None:
@@ -170,11 +176,8 @@ def partition(S: SComplex, f: MeasuringFunction,
         seen.add(index[v])
     if vids:
         f.check_vertices(vids[0], vids[-1])
-    # the ids of cell_by_verts are the int objects the complex's tables
-    # hold, so the result shares them rather than making one per cell
     pairs, critical, lone = _partition_core(
-        S.cell_by_verts, f.grades, index,
-        _admission(f.grades, index, variant))
+        S.verts, f.grades, index, _admission(f.grades, index, variant))
     critical.extend(c for _, c in lone)
     return MatchPartition(dict(pairs), set(critical))
 

@@ -86,6 +86,7 @@ def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
             raise MeshFormatError(
                 f"mesh: {name}: bad vertex line {number}") from None
     faces = []
+    ints = list(range(nv))
     for number, line in body[nv:nv + nf]:
         try:    # most face lines are "3 a b c"
             n, a, b, c = map(int, line.split())
@@ -98,20 +99,24 @@ def _parse_off(numbered: List[Tuple[int, str]], name: str) -> Mesh:
             except (IndexError, ValueError):
                 raise MeshFormatError(
                     f"mesh: {name}: bad face line {number}") from None
-        faces.append(_checked_triangle(idx, n, nv, name, number))
+        faces.append(_checked_triangle(idx, n, ints, name, number))
     return Mesh(vertices, faces)
 
 
-def _checked_triangle(idx: Tuple[int, ...], n: int, nv: int, name: str,
-                      number: int, first: int = 0) -> Tuple[int, int, int]:
+def _checked_triangle(idx: Tuple[int, ...], n: int, ints: List[int],
+                      name: str, number: int, first: int = 0
+                      ) -> Tuple[int, int, int]:
     """Check a face's vertex indices, numbered from first as in the
-    file (and so in the messages), and return them numbered from 0."""
-    last = nv + first
+    file (and so in the messages), and return them numbered from 0.
+    ints is list(range(vertex count)), made once per mesh: a vertex
+    number is returned as its entry there, so the faces hold one int
+    object per vertex rather than one per corner."""
+    last = len(ints) + first
     if n == 3 and len(idx) == 3:
         a, b, c = idx
         if a != b != c != a and first <= a < last and first <= b < last \
                 and first <= c < last:
-            return (a - first, b - first, c - first)
+            return (ints[a - first], ints[b - first], ints[c - first])
     where = f"mesh: {name}: line {number}"
     if n != 3 or len(idx) != 3:
         raise MeshFormatError(f"{where}: non-triangle face {idx}")
@@ -149,7 +154,8 @@ def _parse_obj(numbered: List[Tuple[int, str]], name: str) -> Mesh:
             raw_faces.append((number, tuple(idx)))
         # every other OBJ directive (vt, vn, usemtl, ...) is ignored
     # OBJ counts vertices from 1, and a face may precede its vertices
-    faces = [_checked_triangle(idx, len(idx), len(vertices), name, number, 1)
+    ints = list(range(len(vertices)))
+    faces = [_checked_triangle(idx, len(idx), ints, name, number, 1)
              for number, idx in raw_faces]
     return Mesh(vertices, faces)
 

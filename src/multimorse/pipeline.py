@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .complexes import SComplex, complex_from_closure, simplicial_closure
+from .complexes import SComplex, build_simplicial, complex_from_closure, \
+    simplicial_closure
 from .filtration import MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
-from .meshio import mesh_complex, preset_abs_xy, read_mesh, read_values, \
-    write_reduced
+from .meshio import preset_abs_xy, read_mesh, read_values, write_reduced
 from .oracle import verify_equivalence
 from .reduction import cancel_local_pairs, reduce_all
 from .rings import get_ring
@@ -93,7 +93,8 @@ def match_table(S: SComplex, P: MatchPartition) -> str:
     return _table(rows)
 
 
-def _ball_submesh(S: SComplex, center: int, cell_limit: int) -> SComplex:
+def _ball_submesh(S: SComplex, points: Dict[int, int], center: int,
+                  cell_limit: int) -> SComplex:
     """Grow a vertex ball around center ring by ring, stopping before
     the induced subcomplex would exceed cell_limit cells; the center
     alone is kept whatever the limit.
@@ -104,15 +105,16 @@ def _ball_submesh(S: SComplex, center: int, cell_limit: int) -> SComplex:
     grown ball. A ring stops as soon as its cells overflow the limit,
     since it is rejected whole. The kept cells are face-closed, and
     the result equals full_subcomplex(S, ball) for the final ball, at a
-    cost set by the ball and not by S."""
-    verts, by_verts = S.verts, S.cell_by_verts
+    cost set by the ball and not by S. points maps each vertex of S to
+    the id of its cell."""
+    verts = S.verts
     inside = {center}
     frontier = {center}
     kept = {(center,)}
     while frontier:
         ring_verts = set()
         for v in frontier:
-            for e in S.coboundary(by_verts[(v,)]):
+            for e in S.coboundary(points[v]):
                 ring_verts.update(verts[e])
         ring_verts -= inside
         if not ring_verts:
@@ -125,7 +127,7 @@ def _ball_submesh(S: SComplex, center: int, cell_limit: int) -> SComplex:
             # the cofaces of v inside the grown ball; a cell outside it
             # has no coface inside, and a cell found before has had its
             # cofaces visited
-            stack = [by_verts[(v,)]]
+            stack = [points[v]]
             while stack:
                 for c in S.coboundary(stack.pop()):
                     w = verts[c]
@@ -152,7 +154,10 @@ def sample_star_submeshes(S: SComplex, count: int, cell_limit: int,
     if bare is not None:
         raise PipelineError(f"sample: cell {bare} has no vertex tuple")
     rng = random.Random(seed)
-    vids = S.vertex_ids()
+    # one map for every ball: building it costs O(cells)
+    points = {w[0]: c for c, w in enumerate(S.verts)
+              if w is not None and len(w) == 1}
+    vids = sorted(points)
     out: List[Tuple[int, SComplex]] = []
     seen = set()
     while len(out) < count and len(seen) < len(vids):
@@ -160,7 +165,7 @@ def sample_star_submeshes(S: SComplex, count: int, cell_limit: int,
         if center in seen:
             continue
         seen.add(center)
-        out.append((center, _ball_submesh(S, center, cell_limit)))
+        out.append((center, _ball_submesh(S, points, center, cell_limit)))
     return out
 
 
@@ -236,6 +241,9 @@ def run(config: Namespace) -> int:
         return 0
     else:
         f = preset_abs_xy(mesh)
+    # the coordinates were read for the grades alone
+    vertex_count, faces = len(mesh.vertices), mesh.faces
+    del mesh
     if config.indexing == "kahn":
         index = topo_sort_kahn(build_dag(f))
     else:
@@ -247,10 +255,13 @@ def run(config: Namespace) -> int:
             print(f"{index[v]} {v} {text}")
         return 0
 
-    S = mesh_complex(mesh, ring)
-    # nothing below reads the mesh: the complex holds its own faces
-    del mesh
+    S = build_simplicial(vertex_count, faces, ring)
+    del faces   # the complex holds its own
     if config.command == "verify":
+        if config.q_max is not None and config.q_max > S.max_dim:
+            # no homology lives above the top dimension
+            raise PipelineError(f"run: --qmax {config.q_max} is above the "
+                                f"complex's top dimension {S.max_dim}")
         return run_verification(S, f, index, config)
 
     P = partition(S, f, index, config.variant)

@@ -549,19 +549,25 @@ def _reference_closure(simplices):
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-def reference_complex_from_simplices(simplices, ring=mm.GF2):
+def _reference_build(simplices, ring):
+    """The reference complex, and the map from its tuples to its ids."""
     out = SComplex(ring)
+    ids = {}
     plus, minus = ring.from_int(1), ring.from_int(-1)
     for w in _reference_closure(simplices):
         c = out.add_cell(len(w) - 1)
         out.verts[c] = w
-        out.cell_by_verts[w] = c
+        ids[w] = c
         for i in range(len(w)):
             if len(w) == 1:
                 break
-            t = out.cell_by_verts[w[:i] + w[i + 1:]]
+            t = ids[w[:i] + w[i + 1:]]
             out.set_incidence(c, t, plus if i % 2 == 0 else minus)
-    return out
+    return out, ids
+
+
+def reference_complex_from_simplices(simplices, ring=mm.GF2):
+    return _reference_build(simplices, ring)[0]
 
 
 def _reference_admission(f, index, variant):
@@ -576,30 +582,31 @@ def _reference_admission(f, index, variant):
     return admit
 
 
-def _reference_link_of(S, vid, v_cell, admit):
+def _reference_link_of(S, ids, vid, v_cell, admit):
     member = []
     for rho in cofaces_closure(S, v_cell):
         w = tuple(u for u in S.verts[rho] if u != vid)
         if all(admit(u, vid) for u in w):
             member.append(w)
-    link = reference_complex_from_simplices(member, S.ring) if member \
-        else SComplex(S.ring)
+    link, link_ids = _reference_build(member, S.ring) if member \
+        else (SComplex(S.ring), {})
     to_parent = {
-        lc: S.cell_by_verts[tuple(sorted(w + (vid,)))]
+        lc: ids[tuple(sorted(w + (vid,)))]
         for lc, w in enumerate(link.verts)
     }
-    return link, to_parent
+    return link, link_ids, to_parent
 
 
-def _reference_match_vertex(S, f, index, variant, v_cell, matched, critical):
+def _reference_match_vertex(S, ids, f, index, variant, v_cell, matched,
+                            critical):
     vid = S.verts[v_cell][0]
-    link, to_parent = _reference_link_of(
-        S, vid, v_cell, _reference_admission(f, index, variant))
+    link, link_ids, to_parent = _reference_link_of(
+        S, ids, vid, v_cell, _reference_admission(f, index, variant))
     if len(link) == 0:
         critical.add(v_cell)
         return
     sub_matched, sub_critical = _reference_partition_core(
-        link, f, index, variant)
+        link, link_ids, f, index, variant)
     c0 = sorted(lc for lc in sub_critical if link.dim(lc) == 0)
     if not c0:
         raise MatchingError(
@@ -616,13 +623,14 @@ def _reference_match_vertex(S, f, index, variant, v_cell, matched, critical):
         matched[to_parent[low]] = to_parent[up]
 
 
-def _reference_partition_core(S, f, index, variant):
+def _reference_partition_core(S, ids, f, index, variant):
+    """The partition of S, whose tuples ids maps to their cell ids."""
     zero = S.cells_of_dim(0)
     zero.sort(key=lambda c: index[S.verts[c][0]])
     matched = {}
     critical = set()
     for v_cell in zero:
-        _reference_match_vertex(S, f, index, variant, v_cell, matched,
+        _reference_match_vertex(S, ids, f, index, variant, v_cell, matched,
                                 critical)
     assigned = set(matched)
     assigned.update(matched.values())
@@ -636,7 +644,8 @@ def _reference_partition_core(S, f, index, variant):
 def reference_partition(S, f, index, variant="strict"):
     """(matched, critical) of the per-vertex recursion; S, f and index
     must already be valid partition inputs."""
-    return _reference_partition_core(S, f, index, variant)
+    ids = {w: c for c, w in enumerate(S.verts) if w is not None}
+    return _reference_partition_core(S, ids, f, index, variant)
 
 
 # -- meshes -------------------------------------------------------------

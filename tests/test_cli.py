@@ -300,6 +300,14 @@ def test_input_errors(tmp_path, capsys):
 
     assert main(["verify", mesh, "--qmax", "-3"]) == 1
     assert "--qmax" in capsys.readouterr().err
+    # no homology lives above the top dimension, 2 for a triangle
+    assert main(["verify", mesh, "--qmax", "2"]) == 0
+    assert capsys.readouterr().out.endswith("PASS checked=18 grades=3\n")
+    for q_max in ("3", "2000000"):
+        assert main(["verify", mesh, "--qmax", q_max]) == 1
+        assert capsys.readouterr().err == (
+            f"multimorse: run: --qmax {q_max} is above the complex's top "
+            f"dimension 2\n")
     assert main(["verify", mesh, "--max-cells", "-1"]) == 1
     assert "--max-cells" in capsys.readouterr().err
 

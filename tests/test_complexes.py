@@ -117,14 +117,24 @@ def test_copy_is_independent():
     S = helpers.full_triangle(mm.INTEGERS)
     T = S.copy()
     assert T.cells() == S.cells()
-    assert T.verts == S.verts and T.cell_by_verts == S.cell_by_verts
+    assert T.verts == S.verts
     T.remove_cell(6)
     assert 6 in S and 6 not in T
     assert S.incidence(6, 5) == 1
     assert S.verts[6] == (0, 1, 2) and S.cell_with_verts((0, 1, 2)) == 6
-    assert T.verts[6] is None and (0, 1, 2) not in T.cell_by_verts
+    assert T.verts[6] is None and (0, 1, 2) not in T.verts
     with pytest.raises(ComplexError, match=r"no simplex \(0, 1, 2\)"):
         T.cell_with_verts((2, 1, 0))
+
+
+def test_cell_without_verts_skips_removed_ids():
+    # a removed cell leaves None in verts, as a cell without a tuple
+    # does, and only the latter is reported
+    S = helpers.full_triangle()
+    S.remove_cell(6)
+    assert S.cell_without_verts() is None
+    assert S.add_cell(1) == 7
+    assert S.cell_without_verts() == 7
 
 
 def test_construction_errors():
@@ -151,6 +161,10 @@ def test_construction_errors():
     with pytest.raises(ComplexError, match=r"repeated vertex in simplex "
                                            r"\(4, 9, 4\)"):
         mm.complex_from_simplices(iter([(1, 2, 3), (4, 9, 4), ()]))
+    # two ids for one tuple would leave each lookup by vertices ambiguous
+    with pytest.raises(ComplexError, match=r"simplex \(0, 1\) is listed "
+                                           r"twice"):
+        complex_from_closure([(0,), (1,), (0, 1), (0, 1)])
     S = mm.SComplex()
     S.add_cell(0, cell_id=4)
     with pytest.raises(ComplexError):
@@ -194,13 +208,12 @@ def test_built_complex_allocation_per_cell():
         mesh = helpers.sphere_mesh(level)
         S, (size, _) = helpers.traced(lambda: mm.mesh_complex(mesh))
         assert len(S) == cells
-        assert size / len(S) <= 500, (level, size / len(S))
+        assert size / len(S) <= 430, (level, size / len(S))
 
 
 def _assert_same_complex(S, R):
     assert S.cells() == R.cells()
     assert S.verts == R.verts
-    assert S.cell_by_verts == R.cell_by_verts
     for c in R.cells():
         assert S.dim(c) == R.dim(c)
         assert list(S.boundary(c)) == list(R.boundary(c))

@@ -353,3 +353,20 @@ def test_write_off_round_trip(tmp_path):
     back = mm.read_mesh(str(path))
     assert back.vertices == mesh.vertices
     assert back.faces == list(mesh.faces)
+
+
+def test_faces_hold_one_int_per_vertex(tmp_path):
+    # ints past 256 are not cached by CPython, so parsing each corner
+    # anew would pin one int object per corner rather than per vertex
+    mesh = helpers.sphere_mesh(4)   # 1,026 vertices, 2,048 triangles
+    off = tmp_path / "sphere.off"
+    helpers.write_off(str(off), mesh)
+    obj = tmp_path / "sphere.obj"
+    obj.write_text(
+        "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices)
+        + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces))
+    for path in (off, obj):
+        back = mm.read_mesh(str(path))
+        assert back.faces == list(mesh.faces)
+        ints = {id(v) for face in back.faces for v in face}
+        assert len(ints) <= len(back.vertices), (path.name, len(ints))

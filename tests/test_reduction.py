@@ -7,6 +7,7 @@ import pytest
 
 import multimorse as mm
 from multimorse import reduction
+from multimorse.complexes import ComplexError
 from multimorse.reduction import ReductionError
 
 import helpers
@@ -125,7 +126,9 @@ def test_reduce_all_works_in_place():
     # the survivors keep their vertex tuples, the removed cells lose them
     assert {c: w for c, w in enumerate(S.verts) if w is not None} == \
         {0: (0,)}
-    assert S.cell_by_verts == {(0,): 0}
+    assert S.cell_with_verts((0,)) == 0
+    with pytest.raises(ComplexError, match=r"no simplex \(0, 1\)"):
+        S.cell_with_verts((0, 1))
 
 
 def _graded_complexes(ring):
