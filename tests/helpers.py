@@ -469,6 +469,15 @@ def field_floor(S, grades, fld):
     return len(S) - 2 * rank
 
 
+def equal_grade_entry(S, grades):
+    """A boundary entry (cell, face) of S whose two cells have the same
+    grade, or None. Over a field a complex with no such entry is
+    minimal: no filtration-preserving reduction keeps fewer cells.
+    Reads each entry once, and nothing from the reduction module."""
+    return next(((c, t) for c in S.cells() for t, _ in S.boundary(c)
+                 if grades[t] == grades[c]), None)
+
+
 # -- integer torsion ------------------------------------------------------
 
 def _determinant(a):

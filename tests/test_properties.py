@@ -1,7 +1,8 @@
 """Property tests over random complexes and grades: ties, k from 1 to
 4, and the rings z2, q, z and z5. They cover the rank oracle, the
 matching against its per-vertex reference, the incidence tables of a
-reduced complex, and the reduced-complex file format."""
+reduced complex, the local-pair pass against the floor over a field,
+and the reduced-complex file format."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -93,6 +94,20 @@ def test_reduced_complex_tables(case):
     D.validate()
     for c in C.cells():
         assert D._cofaces[c] == list(C.coboundary(c))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(graded_complexes(rings=[mm.GF2, mm.RATIONALS]))
+def test_local_pairs_reach_the_field_floor(case):
+    # over a field the pass alone, with no matching first, leaves the
+    # fewest cells an equal-grade reduction can
+    S, f, _ = case
+    grades = mm.entry_grades(S, f)
+    floor = helpers.field_floor(S, grades, S.ring)
+    C = S.copy()
+    mm.cancel_local_pairs(C, dict(grades))
+    C.validate()
+    assert len(C) == floor
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)

@@ -420,22 +420,33 @@ def test_matching_stays_acyclic_during_reduction():
             assert mm.is_acyclic(mm.modified_hasse(W, remaining))
 
 
+def _count_reductions(monkeypatch):
+    """Wrap reduce_pair: the pairs it reduces, and the entries it
+    rewrites, |faces of tau but sigma| * |cofaces of sigma but tau| per
+    pair."""
+    calls, rewritten = [], [0]
+    real = reduction.reduce_pair
+
+    def counting(*args):
+        step = real(*args)
+        calls.append(args[1:3])
+        rewritten[0] += len(step.tau_faces) * len(step.sigma_cofaces)
+        return step
+
+    monkeypatch.setattr(reduction, "reduce_pair", counting)
+    return calls, rewritten
+
+
 def test_local_pairs_count_their_reductions(monkeypatch):
     # a deterministic companion to the pass's cost: the reduce_pair calls
-    # it makes on rotated L=4 over Z/2, counted by wrapping
+    # it makes on rotated L=4 over Z/2 after the matching, counted by
+    # wrapping
     mesh = helpers.rotated_sphere_mesh(4, 11)
     S = mm.mesh_complex(mesh)
     f = mm.preset_abs_xy(mesh)
     C = mm.reduce_all(S, mm.partition(S, f, mm.lex_indexing(f))).complex
     grades = mm.entry_grades(C, f)
-    calls = []
-    real = reduction.reduce_pair
-
-    def counting(*args):
-        calls.append(args[1:3])
-        return real(*args)
-
-    monkeypatch.setattr(reduction, "reduce_pair", counting)
+    calls, _ = _count_reductions(monkeypatch)
     pairs = mm.cancel_local_pairs(C, grades)
     assert len(calls) == len(pairs) == 1828
     assert calls == pairs
@@ -445,6 +456,24 @@ def test_local_pairs_count_their_reductions(monkeypatch):
     # a further sweep reduces nothing
     assert mm.cancel_local_pairs(C, grades) == []
     assert len(calls) == 1828
+
+
+def test_local_pairs_alone_count_their_reductions(monkeypatch):
+    # the pass alone, with no matching first, on the same input: more
+    # pairs, to the same 666 cells, and the entries they rewrite
+    mesh = helpers.rotated_sphere_mesh(4, 11)
+    S = mm.mesh_complex(mesh)
+    f = mm.preset_abs_xy(mesh)
+    grades = mm.entry_grades(S, f)
+    calls, rewritten = _count_reductions(monkeypatch)
+    pairs = mm.cancel_local_pairs(S, grades)
+    assert len(calls) == len(pairs) == 2740
+    assert calls == pairs
+    assert rewritten == [9903]
+    assert len(S) == 6146 - 2 * 2740 == 666
+    assert sorted(grades) == S.cells()
+    S.validate()
+    assert mm.cancel_local_pairs(S, grades) == []
 
 
 def test_local_pairs_skip_non_units_over_z():
