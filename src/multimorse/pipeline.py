@@ -1,25 +1,20 @@
 """End-to-end drivers shared by the command-line interface.
 
-run() executes one of the five pipeline commands (sort, match, reduce,
-verify, stats) on the settings cli.build_parser defines and returns a
-process exit status: 0 for success, 1 for input or configuration errors
-(raised as exceptions, mapped by the CLI), 2 for a failed verification.
-reduce and verify remove the matched pairs, then cancel the equal-grade
-pairs the matching leaves (reduction.cancel_local_pairs), so verify
-certifies what reduce writes; match prints the matching alone.
-Complexes small enough for the oracle are certified whole; larger ones
-are certified on seeded vertex-star submeshes.
+run() executes one command on the settings cli.build_parser gives it
+and returns the exit status: 0 success, 1 input or configuration error
+(raised, mapped by the CLI), 2 failed verification. reduce and verify
+share _reduce, so verify certifies what reduce writes.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .complexes import SComplex, build_simplicial, complex_from_closure, \
     simplicial_closure
-from .filtration import MeasuringFunction, entry_grades
+from .filtration import Grade, MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
 from .meshio import preset_abs_xy, read_mesh, read_values, write_reduced
@@ -169,16 +164,15 @@ def sample_star_submeshes(S: SComplex, count: int, cell_limit: int,
     return out
 
 
-def _verify_one(S: SComplex, f: MeasuringFunction,
-                index: List[int], config: Namespace):
+def _reduce(S: SComplex, f: MeasuringFunction, index: List[int],
+            variant: str) -> Dict[int, Grade]:
+    """Reduce S in place: the matched pairs, then the equal-grade pairs
+    the matching leaves. Returns the survivors' grades."""
+    reduce_all(S, partition(S, f, index, variant))
+    # a survivor keeps its vertex tuple, and so its entry grade
     grades = entry_grades(S, f)
-    P = partition(S, f, index, config.variant)
-    # the oracle reads the original beside the reduction
-    result = reduce_all(S.copy(), P, grades=dict(grades))
-    cancel_local_pairs(result.complex, result.grades)
-    return verify_equivalence(S, grades, result.complex, result.grades,
-                              q_max=config.q_max,
-                              max_grades=VERIFY_GRID_LIMIT)
+    cancel_local_pairs(S, grades)
+    return grades
 
 
 def run_verification(S: SComplex, f: MeasuringFunction,
@@ -187,17 +181,23 @@ def run_verification(S: SComplex, f: MeasuringFunction,
     under the cell cap, else on sampled vertex-star submeshes (a valid
     indexing for f restricts to one for every submesh). Prints the
     report; returns 0 on PASS, 2 on any mismatch."""
+
+    def certify(T: SComplex):
+        C = T.copy()    # the oracle reads the original beside the reduction
+        return verify_equivalence(T, entry_grades(T, f), C,
+                                  _reduce(C, f, index, config.variant),
+                                  q_max=config.q_max,
+                                  max_grades=VERIFY_GRID_LIMIT)
+
     if len(S) <= config.max_cells:
-        report = _verify_one(S, f, index, config)
-        for line in report.lines():
-            print(line)
-        print(report.summary())
+        report = certify(S)
+        print(*report.lines(), report.summary(), sep="\n")
         return 0 if report.ok else 2
     cell_limit = min(config.max_cells, SAMPLE_CELL_LIMIT)
     samples = sample_star_submeshes(S, SAMPLE_COUNT, cell_limit, config.seed)
     all_ok = True
     for i, (center, sub) in enumerate(samples):
-        report = _verify_one(sub, f, index, config)
+        report = certify(sub)
         all_ok = all_ok and report.ok
         print(f"SAMPLE {i} center={center} cells={len(sub)} "
               f"{report.summary()}")
@@ -206,14 +206,22 @@ def run_verification(S: SComplex, f: MeasuringFunction,
     return 0 if all_ok else 2
 
 
+def _check_q_max(q_max: Optional[int], top: int) -> None:
+    if q_max is not None and q_max > top:   # no homology lives above it
+        raise PipelineError(f"run: --qmax {q_max} is above the complex's "
+                            f"top dimension {top}")
+
+
 def run(config: Namespace) -> int:
     """Execute one pipeline command, given the settings that
-    cli.build_parser parses; returns the process exit status."""
-    if config.max_cells < 0:
-        raise PipelineError("run: --max-cells must be >= 0")
-    if config.q_max is not None and config.q_max < 0:
-        raise PipelineError("run: --qmax must be >= 0")
-    ring = get_ring(config.ring_name)
+    cli.build_parser parses for it; returns the process exit status."""
+    if config.command == "verify":
+        if config.max_cells < 0:
+            raise PipelineError("run: --max-cells must be >= 0")
+        if config.q_max is not None and config.q_max < 0:
+            raise PipelineError("run: --qmax must be >= 0")
+    if config.command in ("match", "reduce", "verify"):
+        ring = get_ring(config.ring_name)
     mesh = read_mesh(config.mesh_path)
 
     if config.command == "stats":
@@ -229,12 +237,15 @@ def run(config: Namespace) -> int:
                 f"run: {len(f)} value lines for {len(mesh.vertices)} vertices")
     elif not mesh.vertices:
         # the preset has no grades to give, so every output is empty
+        if config.command == "sort":
+            return 0
         S = SComplex(ring)
         if config.command == "match":
             print(match_table(S, MatchPartition({}, set())))
         elif config.command == "verify":
+            _check_q_max(config.q_max, S.max_dim)
             print("PASS checked=0 grades=0")
-        elif config.command == "reduce":
+        else:
             print(stats_table(dim_counts(S), S))
             if config.out:
                 write_reduced(config.out, S, {}, 2)  # abs-xy grades: k = 2
@@ -244,10 +255,8 @@ def run(config: Namespace) -> int:
     # the coordinates were read for the grades alone
     vertex_count, faces = len(mesh.vertices), mesh.faces
     del mesh
-    if config.indexing == "kahn":
-        index = topo_sort_kahn(build_dag(f))
-    else:
-        index = lex_indexing(f)
+    index = (topo_sort_kahn(build_dag(f)) if config.indexing == "kahn"
+             else lex_indexing(f))
 
     if config.command == "sort":
         for v in sorted(range(len(f)), key=index.__getitem__):
@@ -258,27 +267,19 @@ def run(config: Namespace) -> int:
     S = build_simplicial(vertex_count, faces, ring)
     del faces   # the complex holds its own
     if config.command == "verify":
-        if config.q_max is not None and config.q_max > S.max_dim:
-            # no homology lives above the top dimension
-            raise PipelineError(f"run: --qmax {config.q_max} is above the "
-                                f"complex's top dimension {S.max_dim}")
+        _check_q_max(config.q_max, S.max_dim)
         return run_verification(S, f, index, config)
 
-    P = partition(S, f, index, config.variant)
-
     if config.command == "match":
+        P = partition(S, f, index, config.variant)
         print(match_table(S, P))
         acyclic = is_acyclic(modified_hasse(S, P.matched))
         print(f"acyclic {'yes' if acyclic else 'NO'}")
         return 0 if acyclic else 2
 
     counts = dim_counts(S)
-    C = reduce_all(S, P).complex
-    del P   # read by nothing below
-    # a survivor keeps its vertex tuple, and so its entry grade
-    grades = entry_grades(C, f)
-    cancel_local_pairs(C, grades)
-    print(stats_table(counts, C))
+    grades = _reduce(S, f, index, config.variant)
+    print(stats_table(counts, S))
     if config.out:
-        write_reduced(config.out, C, grades, f.k)
+        write_reduced(config.out, S, grades, f.k)
     return 0

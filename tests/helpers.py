@@ -16,6 +16,18 @@ from multimorse.matching import MatchingError
 from multimorse.oracle import OracleError
 from multimorse.rings import Integers
 
+# -- the command line ---------------------------------------------------
+
+# command -> the flags it takes, as its branch of pipeline.run reads them
+COMMAND_FLAGS = {
+    "stats": (),
+    "sort": ("--values", "--indexing"),
+    "match": ("--values", "--variant", "--indexing", "--ring"),
+    "reduce": ("--values", "--variant", "--indexing", "--ring", "--out"),
+    "verify": ("--values", "--variant", "--indexing", "--ring", "--qmax",
+               "--max-cells", "--seed"),
+}
+
 # -- worked examples ----------------------------------------------------
 
 EDGE_GRADES = [(0.0, 0.0), (1.0, 1.0)]

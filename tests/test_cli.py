@@ -137,14 +137,36 @@ def test_reduce_then_verify(tmp_path, capsys):
 
 
 def test_reduce_has_no_verify_flag(tmp_path, capsys):
-    # removed flags are argparse errors
+    # each command takes the flags its branch of pipeline.run reads, and
+    # any other flag, removed ones included, is a usage error
     mesh = _mesh_file(tmp_path, TRIANGLE)
-    for extra in (["--verify"], ["--order", "dim-desc"],
-                  ["--preset", "abs-xy"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["reduce", mesh] + extra)
-        assert exc.value.code == 2
-        assert extra[0] in capsys.readouterr().err
+    values = _values_file(tmp_path, helpers.FULL_TRIANGLE_GRADES)
+    out_path = tmp_path / "out.txt"
+    samples = {"--values": values, "--variant": "weak", "--indexing": "kahn",
+               "--ring": "q", "--qmax": "0", "--max-cells": "10",
+               "--seed": "1", "--out": str(out_path)}
+    accepted = 0
+    for command, takes in helpers.COMMAND_FLAGS.items():
+        for flag, value in samples.items():
+            argv = [command, mesh, flag, value]
+            if flag in takes:
+                config = build_parser().parse_args(argv)
+                assert config.command == command
+                accepted += 1
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert flag in capsys.readouterr().err, argv
+        for extra in (["--verify"], ["--order", "dim-desc"],
+                      ["--preset", "abs-xy"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, mesh] + extra)
+            assert exc.value.code == 2
+            assert extra[0] in capsys.readouterr().err
+    assert accepted == 18
+    # stats and sort once took --out and wrote nothing
+    assert not out_path.exists()
 
 
 def test_verify_checks_against_the_unreduced_input(tmp_path, capsys,
@@ -153,12 +175,10 @@ def test_verify_checks_against_the_unreduced_input(tmp_path, capsys,
     # compares it with the input, not with the complex reduced in place
     real = pipeline.reduce_all
 
-    def lossy(S, P, grades):
-        result = real(S, P, grades=grades)
+    def lossy(S, P):
+        result = real(S, P)
         C = result.complex
-        top = C.cells_of_dim(C.max_dim)[-1]
-        C.remove_cell(top)
-        del result.grades[top]
+        C.remove_cell(C.cells_of_dim(C.max_dim)[-1])
         return result
 
     monkeypatch.setattr(pipeline, "reduce_all", lossy)
@@ -195,6 +215,37 @@ def test_verify_certifies_the_local_pairs(tmp_path, capsys, monkeypatch):
     assert main(["verify", octa]) == 2
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1].startswith("FAIL mismatches=")
+
+
+@pytest.mark.parametrize("ring_name", ["z2", "z"])
+def test_verify_certifies_what_reduce_writes(ring_name, tmp_path, capsys,
+                                             monkeypatch):
+    # the reduction verify hands the oracle, whole-complex, is the one
+    # reduce writes: the same cells, coefficients and grades
+    mesh = _mesh_file(tmp_path, helpers.sphere_mesh(1))
+    out_path = tmp_path / "reduced.txt"
+    assert main(["reduce", mesh, "--ring", ring_name,
+                 "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    written, written_grades = mm.read_reduced(str(out_path),
+                                              mm.get_ring(ring_name))
+    seen = []
+    real = pipeline.verify_equivalence
+
+    def capture(S, grades_s, reduced, grades_r, **kwargs):
+        seen.append((reduced, grades_r))
+        return real(S, grades_s, reduced, grades_r, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_equivalence", capture)
+    assert main(["verify", mesh, "--ring", ring_name]) == 0
+    assert capsys.readouterr().out.startswith("RANK ")
+    [(reduced, grades)] = seen
+    assert 0 < len(reduced) < 98   # of the sphere's 98 cells
+    assert reduced.cells() == written.cells()
+    for c in reduced.cells():
+        assert reduced.dim(c) == written.dim(c)
+        assert sorted(reduced.boundary(c)) == sorted(written.boundary(c))
+    assert grades == written_grades
 
 
 @pytest.mark.parametrize("ring_name", ["z2", "q", "z5", "z"])
@@ -266,9 +317,15 @@ def test_empty_mesh(tmp_path, capsys):
     for command in ("sort", "match", "reduce", "verify"):
         assert main([command, mesh, "--values", missing]) == 1
         assert capsys.readouterr().err.startswith("multimorse: mesh:")
-    # stats reads no grades
-    assert main(["stats", mesh, "--values", missing]) == 0
-    capsys.readouterr()
+    # stats reads no grades, so it takes no --values
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", mesh, "--values", missing])
+    assert exc.value.code == 2
+    assert "--values" in capsys.readouterr().err
+    # the empty complex's top dimension is -1, so every Q is above it
+    assert main(["verify", mesh, "--qmax", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "multimorse: run: --qmax 0 is above the complex's top dimension -1\n")
 
 
 def test_sampling_on_large_mesh(tmp_path, capsys):

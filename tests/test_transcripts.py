@@ -1,7 +1,8 @@
 """Pinned CLI transcripts.
 
 Each case runs every command of the CLI in-process on one mesh with one
-set of flags and hashes what a user sees: stdout, stderr and the exit
+set of flags, each command given the flags it takes, and hashes what a
+user sees: stdout, stderr and the exit
 status of each command, and the file that `reduce --out` writes. The
 digests pin today's outputs byte for byte, so a change meant to keep
 the outputs fails here, on the (mesh, flags) case that moved.
@@ -101,11 +102,11 @@ def transcript_digests(mesh_name, flag_name, tmp_path, capsys):
     each command's own parts, as (command, digest) pairs."""
     mesh_path = str(tmp_path / "mesh.off")
     helpers.write_off(mesh_path, MESHES[mesh_name]())
-    inputs = [mesh_path]
+    flags = list(FLAGS[flag_name])
     if mesh_name.startswith("torus"):
         values_path = str(tmp_path / "values.txt")
         _torus_values(values_path)
-        inputs += ["--values", values_path]
+        flags += ["--values", values_path]
     out_path = tmp_path / "reduced.txt"
     h = hashlib.sha256()
     per_command = []
@@ -113,7 +114,11 @@ def transcript_digests(mesh_name, flag_name, tmp_path, capsys):
         if out_path.exists():
             out_path.unlink()
         args = [a.format(out=out_path) for a in command]
-        status = main(args[:1] + inputs + args[1:] + FLAGS[flag_name])
+        # each command gets only the flags it takes
+        takes = helpers.COMMAND_FLAGS[command[0]]
+        taken = [x for flag, value in zip(flags[::2], flags[1::2])
+                 if flag in takes for x in (flag, value)]
+        status = main(args[:1] + [mesh_path] + args[1:] + taken)
         captured = capsys.readouterr()
         written = out_path.read_bytes() if out_path.exists() else b""
         own = hashlib.sha256()
