@@ -20,7 +20,8 @@ from .meshio import (Mesh, MeshFormatError, mesh_complex, preset_abs_xy,
 from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,
                      rank_table, verify_equivalence)
 from .pipeline import (PipelineError, dim_counts, match_table, run,
-                       run_verification, sample_star_submeshes, stats_table)
+                       run_verification, sample_star_submeshes, star_index,
+                       stats_table)
 from .reduction import (ComposedMaps, ReductionError, ReductionResult,
                         ReductionStep, cancel_local_pairs, reduce_all,
                         reduce_pair)

@@ -299,7 +299,8 @@ def _closure(simplices: Iterable[Sequence[int]]
     return [levels[r] for r in sorted(levels)]
 
 
-def _in_order(levels: List[Set[Tuple[int, ...]]]) -> List[Tuple[int, ...]]:
+def cells_in_order(levels: List[Set[Tuple[int, ...]]]
+                   ) -> List[Tuple[int, ...]]:
     """The cells of a closure in (dimension, vertices) order, each level
     sorted once."""
     return [w for level in levels for w in sorted(level)]
@@ -310,7 +311,7 @@ def complex_from_simplices(simplices: Iterable[Sequence[int]],
     """Build the closure of the given simplices with alternating-sign
     coefficients. Cell ids are assigned in (dimension, vertex-tuple)
     order, so vertices come first in vertex order."""
-    return complex_from_closure(_in_order(_closure(simplices)), ring)
+    return complex_from_closure(cells_in_order(_closure(simplices)), ring)
 
 
 def complex_from_closure(closure: Iterable[Tuple[int, ...]],
@@ -359,15 +360,16 @@ def simplicial_closure(vertex_count: int,
                        maximal_simplices: Iterable[Sequence[int]]
                        ) -> List[Set[Tuple[int, ...]]]:
     """The closure of the vertices 0..vertex_count-1 and the given
-    simplices, by dimension as _closure gives it; every vertex is
-    included even when isolated."""
-    simplices: List[Sequence[int]] = [(v,) for v in range(vertex_count)]
-    for s in maximal_simplices:
+    simplices, by dimension as _closure gives it. Every vertex is
+    included even when isolated, after the simplices, so that its tuple
+    holds their int."""
+    simplices: List[Sequence[int]] = list(maximal_simplices)
+    for s in simplices:
         for v in s:
             if not 0 <= v < vertex_count:
                 raise ComplexError(
                     f"complex: vertex {v} outside 0..{vertex_count - 1}")
-        simplices.append(s)
+    simplices.extend((v,) for v in range(vertex_count))
     return _closure(simplices)
 
 
@@ -376,8 +378,8 @@ def build_simplicial(vertex_count: int,
                      ring: CoefficientRing = GF2) -> SComplex:
     """Simplicial complex on vertices 0..vertex_count-1; every vertex is
     included even when isolated, and vertex v gets cell id v."""
-    return complex_from_closure(
-        _in_order(simplicial_closure(vertex_count, maximal_simplices)), ring)
+    return complex_from_closure(cells_in_order(
+        simplicial_closure(vertex_count, maximal_simplices)), ring)
 
 
 def full_subcomplex(S: SComplex, vertex_set: Set[int]) -> SComplex:

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from .complexes import SComplex, build_simplicial, complex_from_closure, \
-    simplicial_closure
+from .complexes import SComplex, build_simplicial, cells_in_order, \
+    complex_from_closure, simplicial_closure
 from .filtration import Grade, MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
 from .meshio import preset_abs_xy, read_mesh, read_values, write_reduced
 from .oracle import verify_equivalence
 from .reduction import cancel_local_pairs, reduce_all
-from .rings import get_ring
+from .rings import CoefficientRing, get_ring
 
 if TYPE_CHECKING:
     from argparse import Namespace
@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 VERIFY_GRID_LIMIT = 10
 SAMPLE_COUNT = 20
 SAMPLE_CELL_LIMIT = 800
+Cell = Tuple[int, ...]  # a cell's sorted vertex tuple
 
 
 class PipelineError(ValueError):
@@ -88,79 +89,66 @@ def match_table(S: SComplex, P: MatchPartition) -> str:
     return _table(rows)
 
 
-def _ball_submesh(S: SComplex, points: Dict[int, int], center: int,
-                  cell_limit: int) -> SComplex:
+def star_index(cells: Iterable[Cell]) -> Dict[int, List[Cell]]:
+    """Each vertex of a face-closed collection of vertex tuples, mapped
+    to the cells of dimension 1 and up that hold it. Built once, in
+    O(cells), for every ball that sample_star_submeshes grows."""
+    star: Dict[int, List[Cell]] = {}
+    for w in cells:
+        if len(w) == 1:
+            star.setdefault(w[0], [])
+        else:
+            for v in w:
+                star.setdefault(v, []).append(w)
+    return star
+
+
+def _ball(star: Dict[int, List[Cell]], center: int,
+          cell_limit: int) -> Set[Cell]:
     """Grow a vertex ball around center ring by ring, stopping before
     the induced subcomplex would exceed cell_limit cells; the center
     alone is kept whatever the limit.
 
-    Each ring's vertices are read from the edges of the frontier, and
-    the ring adds only the cells that have a vertex in it: the ring's
-    vertices and those of their cofaces whose vertices all lie in the
-    grown ball. A ring stops as soon as its cells overflow the limit,
-    since it is rejected whole. The kept cells are face-closed, and
-    the result equals full_subcomplex(S, ball) for the final ball, at a
-    cost set by the ball and not by S. points maps each vertex of S to
-    the id of its cell."""
-    verts = S.verts
-    inside = {center}
-    frontier = {center}
+    A ring's vertices are those of the frontier's cells (of its edges,
+    as the cells are face-closed), and it adds its vertices and their
+    cells that lie in the grown ball. A ring is rejected whole as soon
+    as its cells overflow the limit. The result is the cells of the
+    full subcomplex on the final ball, at a cost set by the ball and
+    not by the mesh."""
+    inside, frontier = {center}, {center}
     kept = {(center,)}
     while frontier:
-        ring_verts = set()
-        for v in frontier:
-            for e in S.coboundary(points[v]):
-                ring_verts.update(verts[e])
+        ring_verts = {u for v in frontier for w in star[v] for u in w}
         ring_verts -= inside
-        if not ring_verts:
-            break
         grown = inside | ring_verts
         new = set()
-        room = cell_limit - len(kept)
         for v in ring_verts:
             new.add((v,))
-            # the cofaces of v inside the grown ball; a cell outside it
-            # has no coface inside, and a cell found before has had its
-            # cofaces visited
-            stack = [points[v]]
-            while stack:
-                for c in S.coboundary(stack.pop()):
-                    w = verts[c]
-                    if w not in new and grown.issuperset(w):
-                        new.add(w)
-                        stack.append(c)
-            if len(new) > room:
-                break
-        if len(new) > room:
-            break   # the ring overflows and is rejected whole
-        inside = grown
-        frontier = ring_verts
+            new.update(w for w in star[v] if grown.issuperset(w))
+            if len(kept) + len(new) > cell_limit:
+                return kept     # the ring overflows and is rejected whole
+        inside, frontier = grown, ring_verts
         kept |= new
-    cells = sorted(kept)
-    cells.sort(key=len)     # stable: (dimension, vertices) order
-    return complex_from_closure(cells, S.ring)
+    return kept
 
 
-def sample_star_submeshes(S: SComplex, count: int, cell_limit: int,
-                          seed: int) -> List[Tuple[int, SComplex]]:
-    """Seeded sample of vertex-star neighborhoods, one per drawn center,
-    each at most cell_limit cells."""
-    bare = S.cell_without_verts()
-    if bare is not None:
-        raise PipelineError(f"sample: cell {bare} has no vertex tuple")
+def sample_star_submeshes(star: Dict[int, List[Cell]], count: int,
+                          cell_limit: int, seed: int
+                          ) -> List[Tuple[int, List[Cell]]]:
+    """Seeded sample of vertex-star neighborhoods from a star_index, one
+    per drawn center: at most cell_limit face-closed vertex tuples, in
+    (dimension, vertices) order."""
     rng = random.Random(seed)
-    # one map for every ball: building it costs O(cells)
-    points = {w[0]: c for c, w in enumerate(S.verts)
-              if w is not None and len(w) == 1}
-    vids = sorted(points)
-    out: List[Tuple[int, SComplex]] = []
+    vids = sorted(star)
+    out: List[Tuple[int, List[Cell]]] = []
     seen = set()
     while len(out) < count and len(seen) < len(vids):
         center = rng.choice(vids)
         if center in seen:
             continue
         seen.add(center)
-        out.append((center, _ball_submesh(S, points, center, cell_limit)))
+        cells = _ball(star, center, cell_limit)
+        out.append((center, sorted(cells, key=lambda w: (len(w), w))))
     return out
 
 
@@ -175,31 +163,36 @@ def _reduce(S: SComplex, f: MeasuringFunction, index: List[int],
     return grades
 
 
-def run_verification(S: SComplex, f: MeasuringFunction,
-                     index: List[int], config: Namespace) -> int:
-    """Certify the reduction pipeline on S: whole-complex when it fits
-    under the cell cap, else on sampled vertex-star submeshes (a valid
-    indexing for f restricts to one for every submesh). Prints the
-    report; returns 0 on PASS, 2 on any mismatch."""
+def run_verification(closure: List[Set[Cell]], ring: CoefficientRing,
+                     f: MeasuringFunction, index: List[int],
+                     config: Namespace) -> int:
+    """Certify the reduction pipeline on the complex of a closure (as
+    simplicial_closure gives it): whole when it has at most max_cells
+    cells, else on sampled vertex-star submeshes, building only the one
+    being certified (a valid indexing for f restricts to one for every
+    submesh). Prints the report; returns 0 on PASS, 2 on a mismatch."""
 
-    def certify(T: SComplex):
+    def certify(cells: List[Cell]):
+        T = complex_from_closure(cells, ring)
         C = T.copy()    # the oracle reads the original beside the reduction
         return verify_equivalence(T, entry_grades(T, f), C,
                                   _reduce(C, f, index, config.variant),
                                   q_max=config.q_max,
                                   max_grades=VERIFY_GRID_LIMIT)
 
-    if len(S) <= config.max_cells:
-        report = certify(S)
+    if sum(map(len, closure)) <= config.max_cells:
+        report = certify(cells_in_order(closure))
         print(*report.lines(), report.summary(), sep="\n")
         return 0 if report.ok else 2
     cell_limit = min(config.max_cells, SAMPLE_CELL_LIMIT)
-    samples = sample_star_submeshes(S, SAMPLE_COUNT, cell_limit, config.seed)
+    star = star_index(w for level in closure for w in level)
+    samples = sample_star_submeshes(star, SAMPLE_COUNT, cell_limit,
+                                    config.seed)
     all_ok = True
-    for i, (center, sub) in enumerate(samples):
-        report = certify(sub)
+    for i, (center, cells) in enumerate(samples):
+        report = certify(cells)
         all_ok = all_ok and report.ok
-        print(f"SAMPLE {i} center={center} cells={len(sub)} "
+        print(f"SAMPLE {i} center={center} cells={len(cells)} "
               f"{report.summary()}")
     print(f"PASS samples={len(samples)}" if all_ok
           else f"FAIL samples={len(samples)}")
@@ -264,11 +257,13 @@ def run(config: Namespace) -> int:
             print(f"{index[v]} {v} {text}")
         return 0
 
+    if config.command == "verify":
+        closure = simplicial_closure(vertex_count, faces)
+        del faces   # the closure holds its own
+        _check_q_max(config.q_max, len(closure) - 1)
+        return run_verification(closure, ring, f, index, config)
     S = build_simplicial(vertex_count, faces, ring)
     del faces   # the complex holds its own
-    if config.command == "verify":
-        _check_q_max(config.q_max, S.max_dim)
-        return run_verification(S, f, index, config)
 
     if config.command == "match":
         P = partition(S, f, index, config.variant)

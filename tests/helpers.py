@@ -11,7 +11,7 @@ from itertools import combinations
 
 import multimorse as mm
 from multimorse import oracle
-from multimorse.complexes import ComplexError, SComplex
+from multimorse.complexes import ComplexError, SComplex, complex_from_closure
 from multimorse.matching import MatchingError
 from multimorse.oracle import OracleError
 from multimorse.rings import Integers
@@ -95,6 +95,18 @@ def cofaces_closure(S, c):
                 seen.add(s)
                 stack.append(s)
     return seen
+
+
+def star_index(S):
+    """mm.star_index of a complex's vertex tuples."""
+    return mm.star_index(w for w in S.verts if w is not None)
+
+
+def sample_complexes(S, count, cell_limit, seed):
+    """mm.sample_star_submeshes of S, each sample built as a complex."""
+    return [(center, complex_from_closure(cells, S.ring))
+            for center, cells in mm.sample_star_submeshes(
+                star_index(S), count, cell_limit, seed)]
 
 
 def vertex_neighbors(S, vid):

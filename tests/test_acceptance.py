@@ -197,7 +197,7 @@ def test_criterion_5_benchmark_meshes():
         assert ratio <= 0.85, f"{name}: reduction ratio {ratio:.3f}"
 
         t0 = time.perf_counter()
-        samples = mm.sample_star_submeshes(S, 20, 2000, seed=0)
+        samples = helpers.sample_complexes(S, 20, 2000, seed=0)
         assert len(samples) >= 20
         for center, sub in samples:
             sub_grades = mm.entry_grades(sub, f)

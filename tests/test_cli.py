@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -338,6 +339,30 @@ def test_sampling_on_large_mesh(tmp_path, capsys):
     # same seed, same transcript
     assert main(["verify", mesh, "--max-cells", "50", "--seed", "3"]) == 0
     assert capsys.readouterr().out.strip().splitlines() == out
+
+
+def test_sampled_verify_builds_one_sample_at_a_time(tmp_path, capsys,
+                                                    monkeypatch):
+    # above --max-cells, verify builds no complex of the whole 6,146-cell
+    # mesh: it builds each sample from its cells, certifies it and drops
+    # it before the next is built
+    mesh = _mesh_file(tmp_path, helpers.rotated_sphere_mesh(4, 11))
+    real = complexes.complex_from_closure
+    sizes, refs, alive = [], [], []
+
+    def tracked(closure, ring=mm.GF2):
+        alive.append(sum(ref() is not None for ref in refs))
+        S = real(closure, ring)
+        sizes.append(len(S))
+        refs.append(weakref.ref(S))
+        return S
+
+    monkeypatch.setattr(complexes, "complex_from_closure", tracked)
+    monkeypatch.setattr(pipeline, "complex_from_closure", tracked)
+    assert main(["verify", mesh, "--max-cells", "400", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS samples=20\n")
+    assert len(sizes) == 20 and max(sizes) <= 400, sizes
+    assert alive == [0] * 20, alive
 
 
 def test_input_errors(tmp_path, capsys):

@@ -8,7 +8,6 @@ import multimorse as mm
 from multimorse.complexes import ComplexError
 from multimorse.filtration import GradeError
 from multimorse.matching import MatchingError
-from multimorse.pipeline import PipelineError
 
 import helpers
 
@@ -205,8 +204,6 @@ def test_complex_without_tuples_gives_typed_errors(tmp_path):
         mm.max_index(R, [0, 1, 2], 2)
     with pytest.raises(ComplexError, match="cell 0 has no vertex tuple"):
         mm.full_subcomplex(R, {0, 1, 2})
-    with pytest.raises(PipelineError, match="cell 0 has no vertex tuple"):
-        mm.sample_star_submeshes(R, 2, 10, 0)
     P = mm.partition(S, f, _index(f))
     Q = mm.partition(S.copy(), f, _index(f))
     assert list(Q.matched.items()) == list(P.matched.items())

@@ -370,3 +370,16 @@ def test_faces_hold_one_int_per_vertex(tmp_path):
         assert back.faces == list(mesh.faces)
         ints = {id(v) for face in back.faces for v in face}
         assert len(ints) <= len(back.vertices), (path.name, len(ints))
+
+
+def test_complex_holds_one_int_per_vertex(tmp_path):
+    # the closure takes each vertex tuple from the faces, which hold the
+    # parser's one int per vertex, and makes a lone vertex's tuple only
+    # for an isolated vertex: on rotated L=4, 1,026 int objects rather
+    # than 1,795 (ints up to 256 are cached either way)
+    path = tmp_path / "sphere.off"
+    helpers.write_off(str(path), helpers.rotated_sphere_mesh(4, 11))
+    mesh = mm.read_mesh(str(path))
+    S = mm.mesh_complex(mesh)
+    assert len({id(v) for w in S.verts for v in w}) == len(mesh.vertices)
+    assert len(mesh.vertices) == 1026

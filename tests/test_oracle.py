@@ -468,7 +468,7 @@ def test_rank_table_cost_against_reference():
     f = mm.preset_abs_xy(mesh)
     index = mm.lex_indexing(f)
     work = []
-    for _, sub in mm.sample_star_submeshes(S, 20, 400, 3):
+    for _, sub in helpers.sample_complexes(S, 20, 400, 3):
         grades = mm.entry_grades(sub, f)
         red = mm.reduce_all(sub.copy(), mm.partition(sub, f, index),
                             grades=dict(grades))

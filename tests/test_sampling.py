@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multimorse as mm
 
@@ -54,13 +55,13 @@ def _two_octahedra_and_a_point():
 
 
 def _assert_same_samples(S, count, cell_limit, seed):
-    got = mm.sample_star_submeshes(S, count, cell_limit, seed)
+    got = mm.sample_star_submeshes(helpers.star_index(S), count,
+                                   cell_limit, seed)
     want = _reference_samples(S, count, cell_limit, seed)
     assert [c for c, _ in got] == [c for c, _ in want]
-    for (_, sub), (_, ref) in zip(got, want):
-        assert sub.cells() == ref.cells()
-        assert sub.verts == ref.verts
-        assert sub.ring == S.ring
+    for (_, cells), (_, ref) in zip(got, want):
+        # the reference's cells, in its id order
+        assert cells == ref.verts
 
 
 MESHES = {
@@ -92,41 +93,58 @@ def test_samples_on_disconnected_mesh_with_isolated_vertex():
         for cell_limit in (0, 1, 5, 400, len(S) + 1):
             # more draws than vertices: every vertex becomes a center
             _assert_same_samples(S, 20, cell_limit, seed)
-    whole = mm.sample_star_submeshes(S, 13, len(S) + 1, 0)
-    sizes = {center: len(sub) for center, sub in whole}
+    whole = mm.sample_star_submeshes(helpers.star_index(S), 13, len(S) + 1,
+                                     0)
+    sizes = {center: len(cells) for center, cells in whole}
     assert sizes[12] == 1
     assert {sizes[v] for v in range(12)} == {26}
 
 
-def test_sampling_work_follows_samples_not_mesh(monkeypatch):
-    # the deterministic companion of the timed gate below: the coboundary
-    # calls of 20 samples of 400 cells stay flat from L=3 to L=5 (about
-    # 9,300 each); a walk over the whole mesh would grow 16x
-    calls = [0]
-    real = mm.SComplex.coboundary
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 10 ** 6), st.integers(1, 10),
+       st.sampled_from([0, 1, 3, 10, 30, 400]), st.integers(0, 10 ** 6))
+def test_samples_equal_full_subcomplex_growth_on_random_complexes(
+        complex_seed, n_top, cell_limit, seed):
+    # random closures have what the triangle meshes above lack: dangling
+    # edges, tetrahedra and isolated vertices
+    S = helpers.random_complex(complex_seed, 12, n_top=n_top)
+    _assert_same_samples(S, 6, cell_limit, seed)
 
-    def counted(self, c):
-        calls[0] += 1
-        return real(self, c)
 
-    monkeypatch.setattr(mm.SComplex, "coboundary", counted)
+class _CountedStar(dict):
+    """A star index that counts the cells its lookups hand out."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        cells = super().__getitem__(v)
+        self.reads += len(cells)
+        return cells
+
+
+def test_sampling_work_follows_samples_not_mesh():
+    # the deterministic companion of the timed gate below: the index
+    # cells read for 20 samples of 400 cells stay flat from L=3 to L=5;
+    # a walk over the whole mesh would grow 16x
     counts = {}
     for level in (3, 5):
         S = mm.mesh_complex(helpers.sphere_mesh(level))
-        calls[0] = 0
-        mm.sample_star_submeshes(S, 20, 400, 0)
-        counts[level] = calls[0]
+        star = _CountedStar(helpers.star_index(S))
+        mm.sample_star_submeshes(star, 20, 400, 0)
+        counts[level] = star.reads
     assert counts[5] <= 1.1 * counts[3], counts
 
 
 def test_sampling_time_follows_samples_not_mesh():
-    # the ball grows through cofaces, so drawing the same number of
-    # same-size samples costs about the same on a 16x larger mesh
+    # the ball grows through the star index, built once outside the
+    # timer, so drawing the same number of same-size samples costs
+    # about the same on a 16x larger mesh
     def best_time(S):
+        star = helpers.star_index(S)
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            mm.sample_star_submeshes(S, 20, 400, 0)
+            mm.sample_star_submeshes(star, 20, 400, 0)
             best = min(best, time.perf_counter() - t0)
         return best
 
