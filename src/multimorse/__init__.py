@@ -19,9 +19,8 @@ from .meshio import (Mesh, MeshFormatError, mesh_complex, preset_abs_xy,
                      read_mesh, read_reduced, read_values, write_reduced)
 from .oracle import (EquivalenceReport, HomologyRanks, OracleError, homology,
                      rank_table, verify_equivalence)
-from .pipeline import (PipelineError, dim_counts, match_table, run,
-                       run_verification, sample_star_submeshes, star_index,
-                       stats_table)
+from .pipeline import (PipelineError, run, sample_star_submeshes,
+                       star_index)
 from .reduction import (ComposedMaps, ReductionError, ReductionResult,
                         ReductionStep, cancel_local_pairs, reduce_all,
                         reduce_pair)

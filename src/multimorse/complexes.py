@@ -22,7 +22,7 @@ that look cells up by vertices build their own map.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import (Dict, Iterable, ItemsView, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -299,29 +299,24 @@ def _closure(simplices: Iterable[Sequence[int]]
     return [levels[r] for r in sorted(levels)]
 
 
-def cells_in_order(levels: List[Set[Tuple[int, ...]]]
-                   ) -> List[Tuple[int, ...]]:
-    """The cells of a closure in (dimension, vertices) order, each level
-    sorted once."""
-    return [w for level in levels for w in sorted(level)]
-
-
 def complex_from_simplices(simplices: Iterable[Sequence[int]],
                            ring: CoefficientRing = GF2) -> SComplex:
     """Build the closure of the given simplices with alternating-sign
     coefficients. Cell ids are assigned in (dimension, vertex-tuple)
     order, so vertices come first in vertex order."""
-    return complex_from_closure(cells_in_order(_closure(simplices)), ring)
+    return complex_from_closure(chain.from_iterable(_closure(simplices)),
+                                ring)
 
 
 def complex_from_closure(closure: Iterable[Tuple[int, ...]],
                          ring: CoefficientRing = GF2) -> SComplex:
-    """Build a complex from a face-closed list of sorted vertex tuples
-    with alternating-sign coefficients, giving cell ids in list order.
-    In (dimension, vertices) order the list gives what
-    complex_from_simplices gives for it; a face missing from the list,
-    or listed after its simplex, and a tuple listed twice raise
-    ComplexError."""
+    """Build a complex from a face-closed collection of sorted vertex
+    tuples, in any order, with alternating-sign coefficients. Cell ids
+    are given in (dimension, vertices) order, as complex_from_simplices
+    gives them; a face missing from the collection, and a tuple listed
+    twice, raise ComplexError."""
+    cells = sorted(closure)
+    cells.sort(key=len)     # stable: (dimension, vertices) order
     out = SComplex(ring)
     # Written straight into the tables: ids count up from 0, every face
     # of a cell is an earlier cell one dimension down, and +-1 is nonzero
@@ -329,13 +324,12 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
     # fail (short of CELL_ID_LIMIT cells, which no memory holds).
     signs = (ring.from_int(1), ring.from_int(-1))
     dims, faces, cofaces = out._dims, out._faces, out._cofaces
-    verts = out.verts
+    out.verts = cells   # the sorted list is the complex's own
     # the face lookup lives only until the complex is built
     by_verts: Dict[Tuple[int, ...], int] = {}
     try:
-        for c, w in enumerate(closure):
+        for c, w in enumerate(cells):
             dims.append(len(w) - 1)
-            verts.append(w)
             by_verts[w] = c
             row: Dict[int, object] = {}
             if len(w) > 1:
@@ -347,10 +341,10 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
             cofaces.append([])
     except KeyError as e:
         raise ComplexError(f"complex: face {e.args[0]} of simplex {w} "
-                           f"is not listed before it") from None
-    if len(by_verts) != len(verts):
+                           f"is not listed") from None
+    if len(by_verts) != len(cells):
         # the first listing of a repeat maps to a later id
-        w = next(w for c, w in enumerate(verts) if by_verts[w] != c)
+        w = next(w for c, w in enumerate(cells) if by_verts[w] != c)
         raise ComplexError(f"complex: simplex {w} is listed twice")
     out._count = len(dims)
     return out
@@ -378,7 +372,7 @@ def build_simplicial(vertex_count: int,
                      ring: CoefficientRing = GF2) -> SComplex:
     """Simplicial complex on vertices 0..vertex_count-1; every vertex is
     included even when isolated, and vertex v gets cell id v."""
-    return complex_from_closure(cells_in_order(
+    return complex_from_closure(chain.from_iterable(
         simplicial_closure(vertex_count, maximal_simplices)), ring)
 
 
@@ -388,7 +382,6 @@ def full_subcomplex(S: SComplex, vertex_set: Set[int]) -> SComplex:
     bare = S.cell_without_verts()
     if bare is not None:
         raise ComplexError(f"complex: cell {bare} has no vertex tuple")
-    kept = sorted(w for w in S.verts
-                  if w is not None and all(u in vertex_set for u in w))
-    kept.sort(key=len)      # stable: (dimension, vertices) order
-    return complex_from_closure(kept, S.ring)
+    return complex_from_closure(
+        [w for w in S.verts
+         if w is not None and all(u in vertex_set for u in w)], S.ring)

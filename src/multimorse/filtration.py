@@ -41,10 +41,9 @@ class MeasuringFunction:
     """Grades indexed by vertex number (vertex v -> grades[v])."""
 
     def __init__(self, grades: List[Grade]):
-        if not grades:
-            raise GradeError("grades: no vertices")
-        k = len(grades[0])
-        if k == 0:
+        # a function on no vertices has no arity: k is 0
+        k = len(grades[0]) if grades else 0
+        if grades and k == 0:
             raise GradeError("grades: arity zero")
         for v, g in enumerate(grades):
             if len(g) != k:
@@ -53,10 +52,7 @@ class MeasuringFunction:
             if not all(math.isfinite(x) for x in g):
                 raise GradeError(f"grades: non-finite component at vertex {v}")
         self.grades = [tuple(float(x) for x in g) for g in grades]
-
-    @property
-    def k(self) -> int:
-        return len(self.grades[0])
+        self.k = k
 
     def __len__(self) -> int:
         return len(self.grades)

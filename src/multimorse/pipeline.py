@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
-from .complexes import SComplex, build_simplicial, cells_in_order, \
-    complex_from_closure, simplicial_closure
+from .complexes import SComplex, build_simplicial, complex_from_closure, \
+    simplicial_closure
 from .filtration import Grade, MeasuringFunction, entry_grades
 from .indexing import build_dag, lex_indexing, topo_sort_kahn
 from .matching import MatchPartition, is_acyclic, modified_hasse, partition
@@ -54,16 +55,10 @@ def dim_counts(S: SComplex) -> List[int]:
     return [tally[q] for q in range(max(tally, default=-1) + 1)]
 
 
-def stats_table(counts: List[int], C: SComplex) -> str:
-    """Per-dimension cell counts of a complex, given as its dim_counts,
-    and of its reduction C, with percentages kept (one decimal) and a
-    totals row. The counts are taken before reduce_all rewrites the
-    complex in place."""
-    return _counts_table(counts, dim_counts(C))
-
-
-def _counts_table(counts: List[int], kept: List[int]) -> str:
-    """stats_table from two dim_counts lists."""
+def stats_table(counts: List[int], kept: List[int]) -> str:
+    """Per-dimension cell counts of a complex and of its reduction, as
+    two dim_counts lists, with percentages kept (one decimal) and a
+    totals row."""
 
     def pct(c: int, s: int) -> str:
         return f"{(100.0 * c / s if s else 0.0):.1f}"
@@ -134,21 +129,20 @@ def _ball(star: Dict[int, List[Cell]], center: int,
 
 def sample_star_submeshes(star: Dict[int, List[Cell]], count: int,
                           cell_limit: int, seed: int
-                          ) -> List[Tuple[int, List[Cell]]]:
+                          ) -> List[Tuple[int, Set[Cell]]]:
     """Seeded sample of vertex-star neighborhoods from a star_index, one
-    per drawn center: at most cell_limit face-closed vertex tuples, in
-    (dimension, vertices) order."""
+    per drawn center: a face-closed set of at most cell_limit vertex
+    tuples."""
     rng = random.Random(seed)
     vids = sorted(star)
-    out: List[Tuple[int, List[Cell]]] = []
+    out: List[Tuple[int, Set[Cell]]] = []
     seen = set()
     while len(out) < count and len(seen) < len(vids):
         center = rng.choice(vids)
         if center in seen:
             continue
         seen.add(center)
-        cells = _ball(star, center, cell_limit)
-        out.append((center, sorted(cells, key=lambda w: (len(w), w))))
+        out.append((center, _ball(star, center, cell_limit)))
     return out
 
 
@@ -172,7 +166,7 @@ def run_verification(closure: List[Set[Cell]], ring: CoefficientRing,
     being certified (a valid indexing for f restricts to one for every
     submesh). Prints the report; returns 0 on PASS, 2 on a mismatch."""
 
-    def certify(cells: List[Cell]):
+    def certify(cells: Iterable[Cell]):
         T = complex_from_closure(cells, ring)
         C = T.copy()    # the oracle reads the original beside the reduction
         return verify_equivalence(T, entry_grades(T, f), C,
@@ -181,11 +175,11 @@ def run_verification(closure: List[Set[Cell]], ring: CoefficientRing,
                                   max_grades=VERIFY_GRID_LIMIT)
 
     if sum(map(len, closure)) <= config.max_cells:
-        report = certify(cells_in_order(closure))
+        report = certify(chain.from_iterable(closure))
         print(*report.lines(), report.summary(), sep="\n")
         return 0 if report.ok else 2
     cell_limit = min(config.max_cells, SAMPLE_CELL_LIMIT)
-    star = star_index(w for level in closure for w in level)
+    star = star_index(chain.from_iterable(closure))
     samples = sample_star_submeshes(star, SAMPLE_COUNT, cell_limit,
                                     config.seed)
     all_ok = True
@@ -197,12 +191,6 @@ def run_verification(closure: List[Set[Cell]], ring: CoefficientRing,
     print(f"PASS samples={len(samples)}" if all_ok
           else f"FAIL samples={len(samples)}")
     return 0 if all_ok else 2
-
-
-def _check_q_max(q_max: Optional[int], top: int) -> None:
-    if q_max is not None and q_max > top:   # no homology lives above it
-        raise PipelineError(f"run: --qmax {q_max} is above the complex's "
-                            f"top dimension {top}")
 
 
 def run(config: Namespace) -> int:
@@ -220,7 +208,7 @@ def run(config: Namespace) -> int:
     if config.command == "stats":
         counts = [len(level) for level in
                   simplicial_closure(len(mesh.vertices), mesh.faces)]
-        print(_counts_table(counts, counts))
+        print(stats_table(counts, counts))
         return 0
 
     if config.values_path:
@@ -228,21 +216,6 @@ def run(config: Namespace) -> int:
         if len(f) != len(mesh.vertices):
             raise PipelineError(
                 f"run: {len(f)} value lines for {len(mesh.vertices)} vertices")
-    elif not mesh.vertices:
-        # the preset has no grades to give, so every output is empty
-        if config.command == "sort":
-            return 0
-        S = SComplex(ring)
-        if config.command == "match":
-            print(match_table(S, MatchPartition({}, set())))
-        elif config.command == "verify":
-            _check_q_max(config.q_max, S.max_dim)
-            print("PASS checked=0 grades=0")
-        else:
-            print(stats_table(dim_counts(S), S))
-            if config.out:
-                write_reduced(config.out, S, {}, 2)  # abs-xy grades: k = 2
-        return 0
     else:
         f = preset_abs_xy(mesh)
     # the coordinates were read for the grades alone
@@ -260,7 +233,11 @@ def run(config: Namespace) -> int:
     if config.command == "verify":
         closure = simplicial_closure(vertex_count, faces)
         del faces   # the closure holds its own
-        _check_q_max(config.q_max, len(closure) - 1)
+        top = len(closure) - 1
+        if config.q_max is not None and config.q_max > top:
+            # no homology lives above the top dimension
+            raise PipelineError(f"run: --qmax {config.q_max} is above the "
+                                f"complex's top dimension {top}")
         return run_verification(closure, ring, f, index, config)
     S = build_simplicial(vertex_count, faces, ring)
     del faces   # the complex holds its own
@@ -274,7 +251,7 @@ def run(config: Namespace) -> int:
 
     counts = dim_counts(S)
     grades = _reduce(S, f, index, config.variant)
-    print(stats_table(counts, S))
+    print(stats_table(counts, dim_counts(S)))
     if config.out:
         write_reduced(config.out, S, grades, f.k)
     return 0

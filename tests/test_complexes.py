@@ -238,17 +238,23 @@ def test_complex_from_simplices_equals_reference_builder():
 
 def test_complex_from_closure_equals_complex_from_simplices():
     for n, simplices in helpers.meshes_with_solids():
-        for ring in (mm.GF2, mm.INTEGERS):
-            want = mm.complex_from_simplices(simplices, ring)
-            # the cells of a closure, in (dimension, vertices) order
-            closed = [want.verts[c] for c in want.cells()]
-            _assert_same_complex(complex_from_closure(closed, ring), want)
-    # a face missing, or listed after its simplex, is a ComplexError
+        closed = mm.complex_from_simplices(simplices).verts
+        # the cells of a closure, in (dimension, vertices) order, reversed
+        # and as a set: the ids follow the cells, not the listing order
+        for cells in (closed, closed[::-1], set(closed)):
+            for ring in (mm.GF2, mm.INTEGERS):
+                _assert_same_complex(complex_from_closure(cells, ring),
+                                     mm.complex_from_simplices(simplices,
+                                                               ring))
+    # a face listed after its simplex is put before it
     closed = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    for cells in (closed[:5] + closed[6:], closed[:5] + closed[6:] + [(1, 2)]):
-        with pytest.raises(ComplexError, match=r"face \(1, 2\) of simplex "
-                                               r"\(0, 1, 2\) is not listed"):
-            complex_from_closure(cells)
+    _assert_same_complex(
+        complex_from_closure(closed[:5] + closed[6:] + [(1, 2)]),
+        complex_from_closure(closed))
+    # a missing face is a ComplexError
+    with pytest.raises(ComplexError, match=r"face \(1, 2\) of simplex "
+                                           r"\(0, 1, 2\) is not listed"):
+        complex_from_closure(closed[:5] + closed[6:])
 
 
 def test_incidence_dimension_rule():

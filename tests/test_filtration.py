@@ -39,8 +39,10 @@ def test_measuring_function_validation():
     assert f.k == 2
     assert len(f) == 2
     assert f[1] == (1.0, 2.0)
-    with pytest.raises(GradeError):
-        mm.MeasuringFunction([])
+    empty = mm.MeasuringFunction([])
+    assert empty.k == 0 and len(empty) == 0
+    with pytest.raises(GradeError, match="no vertex 0"):
+        empty[0]
     with pytest.raises(GradeError, match="arity zero"):
         mm.MeasuringFunction([()])
     with pytest.raises(GradeError):

@@ -244,3 +244,28 @@ def test_modified_hasse_empty_matching_is_plain():
 def test_is_acyclic_detects_v_path_loop():
     assert not mm.is_acyclic({0: [1], 1: [2], 2: [3], 3: [0]})
     assert mm.is_acyclic({0: [1, 2], 1: [], 2: [1]})
+
+
+def test_partition_skips_the_id_of_a_removed_cell():
+    # a removed cell leaves an id that holds no cell, None in S.verts:
+    # the partition is the one of the complex built without that cell
+    mesh = helpers.sphere_mesh(1)
+    f = mm.preset_abs_xy(mesh)
+    index = _index(f)
+    S = mm.mesh_complex(mesh)
+    gone = S.cells_of_dim(2)[3]
+    triangle = S.verts[gone]
+    S.remove_cell(gone)
+    assert S.verts[gone] is None
+    rebuilt = mm.build_simplicial(
+        len(mesh.vertices),
+        [w for w in mesh.faces if tuple(sorted(w)) != triangle])
+
+    def by_verts(T):
+        P = mm.partition(T, f, index)
+        return ([(T.verts[a], T.verts[b]) for a, b in P.matched.items()],
+                sorted(T.verts[c] for c in P.critical))
+
+    got = by_verts(S)
+    assert got == by_verts(rebuilt)
+    assert len(got[0]) == 16

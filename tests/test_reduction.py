@@ -369,6 +369,30 @@ def test_reduce_all_cost_is_linear_on_a_cone():
     assert large <= 30 * small, (large, small)
 
 
+def test_reduce_all_reads_linear_coface_rows_on_a_cone(monkeypatch):
+    # the deterministic companion of the timed gate above: the coface
+    # row entries that coboundary and remove_cell walk in reduce_all
+    # stay within a constant per cycle vertex; a walk of the apex's
+    # n-entry row on each pair would read about n**2
+    walked = 0
+
+    def counted(method):
+        def wrapper(S, c):
+            nonlocal walked
+            walked += len(S._cofaces[c])
+            return method(S, c)
+        return wrapper
+
+    for name in ("coboundary", "remove_cell"):
+        monkeypatch.setattr(mm.SComplex, name,
+                            counted(getattr(mm.SComplex, name)))
+    for n in (2000, 20000):
+        S, P = _cone_over_cycle(n)
+        walked = 0
+        mm.reduce_all(S, P)
+        assert walked <= 14 * n, (n, walked)
+
+
 def test_any_pair_order_keeps_the_coface_rows():
     # Pairs reduced out of matching order can zero an entry and make it
     # again, which lists its coface twice. Each coboundary must still be

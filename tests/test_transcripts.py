@@ -29,6 +29,7 @@ import helpers
 TORUS_SIDE = 6
 
 MESHES = {
+    "empty": lambda: mm.Mesh([], []),
     "sphere1": lambda: helpers.sphere_mesh(1),
     "sphere2": lambda: helpers.sphere_mesh(2),
     "torus6": lambda: mm.Mesh(
@@ -55,6 +56,16 @@ COMMANDS = [
 ]
 
 DIGESTS = {
+    ("empty", "q-qmax1"):
+        "5fe7002a2aba3d95b84a3a6e31ef66430850a39046656150a0ea41745aa5d155",
+    ("empty", "strict-lex"):
+        "50fe5901efe09f96f6587ec3c81636a82cc66fc436f0fbce7492e7faccba3c31",
+    ("empty", "weak-kahn"):
+        "50fe5901efe09f96f6587ec3c81636a82cc66fc436f0fbce7492e7faccba3c31",
+    ("empty", "weak-z5"):
+        "50fe5901efe09f96f6587ec3c81636a82cc66fc436f0fbce7492e7faccba3c31",
+    ("empty", "z"):
+        "50fe5901efe09f96f6587ec3c81636a82cc66fc436f0fbce7492e7faccba3c31",
     ("sphere1", "q-qmax1"):
         "47ba0e080abb7c64cadfb884454c543f5ef746a1d24b33fc74873726a28a7bab",
     ("sphere1", "strict-lex"):
