@@ -5,11 +5,13 @@ incidence coefficient between a cell and each of its primary faces (cells
 one dimension down). Coefficients live in a fixed ring. Each is stored
 once, in the face row of the higher cell, a dict from face to
 coefficient. The coface row of a cell is a list of ids, appended to
-whenever a face row gains the cell; coboundary, its one reader, joins
-it to those face rows. Faces and cofaces are O(degree) lookups. The
-per-cell tables are lists indexed by cell id, with None at an id that
-holds no cell (never used, or removed), so a complex costs one slot per
-id up to its largest, holes included. Cell ids are the integers 0 to
+whenever a face row gains the cell; coboundary joins it to those face
+rows. Faces and cofaces are O(degree) lookups. The per-cell tables are
+lists indexed by cell id, with None at an id that holds no cell (never
+used, or removed), so a complex costs one slot per id up to its
+largest, holes included. SComplex alone reads and writes them: the
+elementary reduction's rewrite is its remove_pair, with the sparse
+update of ring.axpy. Cell ids are the integers 0 to
 CELL_ID_LIMIT - 1, and a removed cell's id is never given to another
 cell. A cell may also carry a label, the sorted tuple of its vertices:
 complex_from_closure gives every cell one, with the coefficients of
@@ -22,6 +24,7 @@ that look cells up by vertices build their own map.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations
 from typing import (Dict, Iterable, ItemsView, List, Optional, Sequence, Set,
                     Tuple)
@@ -50,7 +53,7 @@ class SComplex:
     The lists never shrink, so removing a cell leaves a hole and new ids
     start past the largest id ever used. Ids run from 0 to
     CELL_ID_LIMIT - 1, and add_cell refuses any other id before a table
-    grows.
+    grows. No other module reads or writes the tables.
 
     _cofaces[t] lists s each time _faces[s] gains t. An entry is not
     taken out when its coefficient is, as dropping it would cost the
@@ -142,6 +145,31 @@ class SComplex:
         self._count -= 1
         self.verts[c] = None
 
+    def remove_pair(self, sigma: int, tau: int, pivot
+                    ) -> Tuple[Dict[int, object], Dict[int, object]]:
+        """Remove sigma and its primary coface tau, whose incidence pivot
+        is a unit, and rewrite each other coface eta of sigma as
+        eta - old(eta, sigma) / pivot * boundary(tau), the elementary
+        reduction of Kaczynski, Mrozek & Slusarek. Returns tau's other
+        faces and sigma's other cofaces, each a dict to its coefficient
+        as it was before the rewrite."""
+        ring, faces, cofaces = self.ring, self._faces, self._cofaces
+        sigma_cofaces = self.coboundary(sigma)
+        del sigma_cofaces[tau]
+        tau_faces = faces[tau]  # removing sigma takes sigma out of it
+        self.remove_cell(sigma)
+        self.remove_cell(tau)
+        div, axpy, minus_pivot = ring.div, ring.axpy, ring.neg(pivot)
+        for eta, a in sigma_cofaces.items():
+            row = faces[eta]
+            # an entry row gains is -a / pivot * b, never zero, so it is
+            # listed now; an entry zeroed stays listed (see the class)
+            for xi in tau_faces:
+                if xi not in row:
+                    cofaces[xi].append(eta)
+            axpy(row, div(a, minus_pivot), tau_faces)
+        return tau_faces, sigma_cofaces
+
     # -- queries ------------------------------------------------------
 
     def __contains__(self, c: int) -> bool:
@@ -168,6 +196,13 @@ class SComplex:
     def max_dim(self) -> int:
         """Largest cell dimension, or -1 for an empty complex."""
         return max((d for d in self._dims if d is not None), default=-1)
+
+    def dim_counts(self) -> List[int]:
+        """Cells of each dimension, 0 to max_dim, in one pass over the
+        dimension table."""
+        tally = Counter(self._dims)
+        del tally[None]     # the ids that hold no cell
+        return [tally[q] for q in range(max(tally, default=-1) + 1)]
 
     def cells(self) -> List[int]:
         return [c for c, d in enumerate(self._dims) if d is not None]
@@ -271,14 +306,12 @@ class SComplex:
                         raise ComplexError(f"complex: asymmetric incidence "
                                            f"for cells {s},{t}")
         for s in cells:
-            acc: Dict[int, object] = {}
+            acc: Dict[int, object] = {}     # dd(s), zeros dropped
             for t, v in faces[s].items():
-                for u, w in faces[t].items():
-                    acc[u] = ring.add(acc.get(u, ring.zero), ring.mul(v, w))
-            for u, total in acc.items():
-                if total != ring.zero:
-                    raise ComplexError(
-                        f"complex: dd != 0 at cells {s} -> {u}")
+                ring.axpy(acc, v, faces[t])
+            if acc:
+                raise ComplexError(
+                    f"complex: dd != 0 at cells {s} -> {next(iter(acc))}")
 
 
 def _closure(simplices: Iterable[Sequence[int]]

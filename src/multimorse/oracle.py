@@ -31,7 +31,7 @@ from typing import Dict, ItemsView, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import SComplex
 from .filtration import Grade, GradeError, critical_grades
-from .rings import RATIONALS, CoefficientRing, Integers
+from .rings import INTEGERS, RATIONALS, CoefficientRing, Integers
 
 _Vec = Dict[int, object]        # sparse vector: key -> nonzero coefficient
 _Rows = Dict[int, _Vec]         # vectors keyed by a cell or pivot
@@ -185,7 +185,7 @@ def _integer_torsion(S: SComplex, q: int,
     if upper is None:
         upper = S.cells_of_dim(q + 1)
     cols = {c: {t: int(v) for t, v in S.boundary(c)} for c in upper}
-    by_row: Dict[int, set] = {}  # row -> columns that have held it
+    by_row: Dict[int, set] = {}  # row -> a superset of the columns holding it
     for c, col in cols.items():
         for t in col:
             by_row.setdefault(t, set()).add(c)
@@ -199,14 +199,9 @@ def _integer_torsion(S: SComplex, q: int,
             other = cols.get(d, {})
             if r not in other:  # d was a pivot, or lost row r since
                 continue
-            factor = other[r] * col[r]
-            for t, v in col.items():
-                nv = other.get(t, 0) - factor * v
-                if nv:
-                    other[t] = nv
-                    by_row[t].add(d)
-                else:
-                    del other[t]
+            INTEGERS.axpy(other, -other[r] * col[r], col)
+            for t in col:
+                by_row[t].add(d)
     rows = sorted({t for col in cols.values() for t in col})
     m = [[col.get(t, 0) for col in cols.values()] for t in rows]
     return sorted(d for d in _smith_diagonal(m) if d > 1)

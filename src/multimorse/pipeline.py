@@ -47,18 +47,10 @@ def _table(rows: List[Tuple[str, ...]]) -> str:
         for row in rows)
 
 
-def dim_counts(S: SComplex) -> List[int]:
-    """Cells of each dimension, 0 to S.max_dim, in one pass over the
-    complex's dimension table."""
-    tally = Counter(S._dims)
-    del tally[None]     # the ids that hold no cell
-    return [tally[q] for q in range(max(tally, default=-1) + 1)]
-
-
 def stats_table(counts: List[int], kept: List[int]) -> str:
     """Per-dimension cell counts of a complex and of its reduction, as
-    two dim_counts lists, with percentages kept (one decimal) and a
-    totals row."""
+    two SComplex.dim_counts lists, with percentages kept (one decimal)
+    and a totals row."""
 
     def pct(c: int, s: int) -> str:
         return f"{(100.0 * c / s if s else 0.0):.1f}"
@@ -249,9 +241,9 @@ def run(config: Namespace) -> int:
         print(f"acyclic {'yes' if acyclic else 'NO'}")
         return 0 if acyclic else 2
 
-    counts = dim_counts(S)
+    counts = S.dim_counts()
     grades = _reduce(S, f, index, config.variant)
-    print(stats_table(counts, dim_counts(S)))
+    print(stats_table(counts, S.dim_counts()))
     if config.out:
         write_reduced(config.out, S, grades, f.k)
     return 0

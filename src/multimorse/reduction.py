@@ -7,8 +7,10 @@ sigma with unit incidence, rewrites the remaining coefficients as
 
 with pivot = old(tau, sigma), eta running over the other cofaces of
 sigma and xi over the other faces of tau. The result is again a valid
-complex. reduce_all applies every pair of a matching to the complex in
-place, as Kaczynski, Mrozek & Slusarek's reductions rewrite it, and can
+complex. reduce_pair checks the pair and drops its grades;
+SComplex.remove_pair rewrites the rows, through ring.axpy. reduce_all
+applies every pair of a matching to the complex in place, as
+Kaczynski, Mrozek & Slusarek's reductions rewrite it, and can
 accumulate the composed chain maps: a projection onto the smaller
 complex, an inclusion back, and a degree +1 homotopy connecting their
 composite to the identity, in closed form: in partition's order every
@@ -53,50 +55,26 @@ class ReductionStep:
 def reduce_pair(S: SComplex, sigma: int, tau: int,
                 grades: Optional[Dict[int, Grade]] = None) -> ReductionStep:
     """Remove the pair (sigma, tau) from S in place and rewrite the
-    surviving coefficients. tau must be a primary coface of sigma and
-    their incidence must be a unit. Grades, when given, lose the two
-    removed entries and keep every survivor's grade unchanged."""
-    # the adjacency tables are read and rewritten in place; every
-    # rewritten entry joins a coface of sigma to a face of tau, one
-    # dimension apart, and ring arithmetic keeps it normalized. A new
-    # entry is listed in its face's coface row and a zeroed one is not
-    # taken out of it (see SComplex).
-    faces, cofaces = S._faces, S._cofaces
+    surviving coefficients with S.remove_pair. tau must be a primary
+    coface of sigma and their incidence must be a unit. Grades, when
+    given, lose the two removed entries and keep every survivor's grade
+    unchanged."""
     if sigma not in S:
         raise ComplexError(f"complex: no cell {sigma}")
-    pivot = faces[tau].get(sigma) if tau in S else None
-    if pivot is None:
+    ring = S.ring
+    pivot = S.incidence(tau, sigma) if tau in S else ring.zero
+    if pivot == ring.zero:
         raise ReductionError(
             f"reduction: {tau} is not a primary coface of {sigma}")
-    ring = S.ring
     if not ring.is_unit(pivot):
         raise ReductionError(
             f"reduction: incidence {ring.format(pivot)} of pair "
             f"({sigma}, {tau}) is not a unit in {ring.name}")
-    tau_faces = {xi: b for xi, b in faces[tau].items() if xi != sigma}
-    sigma_cofaces = S.coboundary(sigma)
-    del sigma_cofaces[tau]
-    step = ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces)
-    S.remove_cell(sigma)
-    S.remove_cell(tau)
+    tau_faces, sigma_cofaces = S.remove_pair(sigma, tau, pivot)
     if grades is not None:
         grades.pop(sigma, None)
         grades.pop(tau, None)
-    zero, sub, mul = ring.zero, ring.sub, ring.mul
-    for eta, a in sigma_cofaces.items():
-        correction = ring.div(a, pivot)
-        row = faces[eta]
-        for xi, b in tau_faces.items():
-            old = row.get(xi)
-            value = sub(zero if old is None else old, mul(correction, b))
-            if value == zero:
-                if old is not None:
-                    del row[xi]
-            else:
-                if old is None:
-                    cofaces[xi].append(eta)
-                row[xi] = value
-    return step
+    return ReductionStep(sigma, tau, pivot, tau_faces, sigma_cofaces)
 
 
 class ComposedMaps:

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +303,40 @@ def test_validate_catches_broken_dd():
     S.set_incidence(t, e, 1)
     with pytest.raises(ComplexError):
         S.validate()
+
+
+def test_validate_names_a_pair_whose_dd_is_nonzero():
+    # a triangle 6, whose dd cancels, and a 2-cell 7 = bc + ab, whose dd
+    # is c - a: the entry at b comes first and cancels, those at c and a
+    # do not
+    for ring in (mm.INTEGERS, mm.RATIONALS):
+        S = mm.SComplex(ring)
+        a, b, c = (S.add_cell(0) for _ in range(3))
+        for s, t in ((a, b), (b, c), (a, c)):
+            e = S.add_cell(1)
+            S.set_incidence(e, s, -1)
+            S.set_incidence(e, t, 1)
+        for coefficients in ((1, 1, -1), (1, 1, 0)):
+            x = S.add_cell(2)
+            for e, v in zip((4, 3, 5), coefficients):
+                S.set_incidence(x, e, v)
+        with pytest.raises(ComplexError,
+                           match=r"dd != 0 at cells 7 -> [02]$"):
+            S.validate()
+        S.remove_cell(7)
+        S.validate()
+
+
+def test_only_complexes_reads_the_tables():
+    # the table format stays behind SComplex's methods; tests may read it
+    table = re.compile(r"\._(faces|cofaces|dims|count)\b")
+    readers = [f"{path.name}:{n}"
+               for path in sorted(Path(mm.__file__).parent.glob("*.py"))
+               if path.name != "complexes.py"
+               for n, line in enumerate(
+                   path.read_text(encoding="utf-8").splitlines(), 1)
+               if table.search(line)]
+    assert readers == []
 
 
 def test_hand_built_s_complex():

@@ -64,8 +64,9 @@ def test_full_triangle_trace_over_z():
 
 def test_incidence_of_surviving_pairs_is_preserved():
     # after reducing one matched pair, every still-matched pair keeps its
-    # original incidence coefficient
-    for ring in (mm.GF2, mm.RATIONALS, mm.INTEGERS):
+    # original incidence coefficient; z5 runs the p > 2 branch of
+    # PrimeField.axpy
+    for ring in (mm.GF2, mm.PrimeField(5), mm.RATIONALS, mm.INTEGERS):
         for seed in range(4):
             S = helpers.random_complex(seed, ring=ring)
             f = helpers.random_grades(seed + 7, 12)
@@ -95,7 +96,7 @@ def _check_step_identities(pre, post, step):
 
 
 def test_step_chain_maps_identities():
-    for ring in (mm.GF2, mm.RATIONALS, mm.INTEGERS):
+    for ring in (mm.GF2, mm.PrimeField(5), mm.RATIONALS, mm.INTEGERS):
         for seed in (0, 3, 5):
             S = helpers.random_complex(seed, ring=ring)
             f = helpers.random_grades(seed + 21, 12)
