@@ -1,33 +1,32 @@
 """Filtration-compatible acyclic matchings built from vertex lower links.
 
-Cells are partitioned into lower matched cells (each paired with one of
-its primary cofaces), upper matched cells, and critical cells. Every
-cell of dimension >= 1 belongs to the lower star of at most one vertex,
-its *apex*: the vertex of the cell that admits every other vertex of the
-cell below it. Admission is a strict partial order on the vertices, so
-the apex is unique when it exists and a linear scan finds it. One sweep
-over the cells therefore records which cells each apex owns; a cell
-without an apex stays critical. Each vertex v is then processed in
-index order: the algorithm builds v's lower link from the cells v owns,
-each minus v, recursively partitions it (swept the same way), matches
-v itself with the cone over a distinguished minimal critical link
-vertex, and transports the link's matching through the cone. A link
-cell carries the id of the cell it was cut from, which is its cone, so
-the transport is free. Vertices with an empty lower link end up
-critical.
+This is the lower-star matching of King, Knudson & Mramor, extended to
+vector-valued grades. A cell enters the filtration at its entry grade,
+the componentwise maximum of its vertex grades. Every cell of dimension
+>= 1 belongs to the lower star of at most one vertex, its *apex*: the
+vertex of the cell whose grade is the cell's entry grade. Under the
+strict variant the apex must be the only vertex with that grade; under
+the weak variant equal-grade vertices tie, and the tie goes to the one
+of largest index. A cell whose vertex grades have no componentwise
+maximum, or whose maximum is shared under the strict variant, has no
+apex and stays critical.
 
-Two admission rules exist. The strict variant admits a vertex u below v
-only when f(u) <= f(v) componentwise with f(u) != f(v). The weak variant
-also admits equal-grade vertices, breaking the tie by the vertex
-indexing (u admitted when index[u] < index[v]), which keeps the matching
-a bijection and the reversed Hasse diagram acyclic.
+One sweep over the cells records which cells each apex owns. Each
+vertex v is then processed in index order: the algorithm builds v's
+lower link from the cells v owns, each minus v, recursively partitions
+it (swept the same way), matches v itself with the cone over a
+distinguished minimal critical link vertex, and transports the link's
+matching through the cone. A link cell carries the id of the cell it
+was cut from, which is its cone, so the transport is free. A matched
+pair shares its apex, so both cells enter at the apex's grade. The
+critical cells are the cells no pair covers; among them are the
+vertices with an empty lower link.
 """
 
 from __future__ import annotations
 
 from operator import le
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, \
-    Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .complexes import SComplex
 from .filtration import MeasuringFunction
@@ -47,61 +46,49 @@ class MatchPartition:
 
 
 Simplex = Tuple[int, ...]
-Admission = Callable[[int, int], bool]
+Grades = Sequence[Tuple[float, ...]]
 # cells by id: a dict, or a list indexed by id with None at the ids that
 # hold no cell, as SComplex.verts is
 Cells = Union[Dict[int, Simplex], List[Optional[Simplex]]]
 
 
-def _admission(grades: Sequence[Tuple[float, ...]],
-               index: Sequence[int], variant: str) -> Admission:
-    """admit(u, v): u may lie below v in v's lower link. The grades are
-    read directly, so every vertex passed in must have been checked
-    against the measuring function first."""
-    if variant == "strict":
-        def admit(u: int, v: int) -> bool:
-            gu, gv = grades[u], grades[v]
-            return gu != gv and all(map(le, gu, gv))
-        return admit
-
-    def admit(u: int, v: int) -> bool:
-        gu, gv = grades[u], grades[v]
-        if gu == gv:
-            return index[u] < index[v]
-        return all(map(le, gu, gv))
-    return admit
-
-
-def _apex(w: Simplex, admit: Admission) -> int | None:
-    """The vertex of w that admits all its other vertices, or None."""
-    top = w[0]
-    for u in w[1:]:
-        if admit(top, u):
-            top = u
+def _apex(w: Simplex, grades: Grades, index: Sequence[int],
+          weak: bool) -> int | None:
+    """The vertex of w whose grade is w's entry grade, or None. Only the
+    lexicographic maximum g of the grades can be their componentwise
+    maximum. Two vertices of grade g leave no apex under strict; under
+    weak the one of largest index is the apex. The grades are read
+    directly, so every vertex must have been checked first."""
+    g = max(map(grades.__getitem__, w))
+    top = None
     for u in w:
-        if u != top and not admit(u, top):
+        gu = grades[u]
+        if gu == g:
+            if top is None or weak and index[u] > index[top]:
+                top = u
+            elif not weak:
+                return None
+        elif not all(map(le, gu, g)):
             return None
     return top
 
 
-def _partition_core(cells: Cells, grades: Sequence[Tuple[float, ...]],
-                    index: Sequence[int], admit: Admission
-                    ) -> Tuple[List[Tuple[int, int]], List[int],
-                               List[Tuple[int, int]]]:
+def _partition_core(cells: Cells, grades: Grades, index: Sequence[int],
+                    weak: bool
+                    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
     """Partition a face-closed set of vertex tuples, given by the ids
     its caller knows them by. Returns the matched pairs of ids in
-    emission order, the critical ids of dimension >= 1, and the critical
-    points as (vertex, id).
+    emission order and the unpaired points as (vertex, id); every id no
+    pair covers is critical.
 
     One pass records the ids of the cells each apex owns; a vertex's
     lower link is built when the vertex comes up, in index order, and
     dropped after it. A link cell keeps the id of the cell it was cut
     from, which is its cone with the vertex, so the ids the recursion
-    hands back need no translation. Cells without an apex are critical.
-    The output does not depend on the order of `cells`."""
+    hands back need no translation. The output does not depend on the
+    order of `cells`."""
     points: Dict[int, int] = {}
     owned: Dict[int, List[int]] = {}
-    critical: List[int] = []
     items = enumerate(cells) if isinstance(cells, list) else cells.items()
     for c, w in items:
         if w is None:
@@ -109,10 +96,8 @@ def _partition_core(cells: Cells, grades: Sequence[Tuple[float, ...]],
         if len(w) == 1:
             points[w[0]] = c
             continue
-        top = _apex(w, admit)
-        if top is None:
-            critical.append(c)
-        else:
+        top = _apex(w, grades, index, weak)
+        if top is not None:
             owned.setdefault(top, []).append(c)
     matched: List[Tuple[int, int]] = []
     lone: List[Tuple[int, int]] = []
@@ -122,20 +107,17 @@ def _partition_core(cells: Cells, grades: Sequence[Tuple[float, ...]],
             lone.append((v, points[v]))
             continue
         link = {c: tuple(u for u in cells[c] if u != v) for c in mine}
-        _match_vertex(points[v], link, grades, index, admit, matched,
-                      critical)
-    return matched, critical, lone
+        _match_vertex(points[v], link, grades, index, weak, matched)
+    return matched, lone
 
 
-def _match_vertex(v_id: int, link: Dict[int, Simplex],
-                  grades: Sequence[Tuple[float, ...]], index: Sequence[int],
-                  admit: Admission, matched: List[Tuple[int, int]],
-                  critical: List[int]) -> None:
+def _match_vertex(v_id: int, link: Dict[int, Simplex], grades: Grades,
+                  index: Sequence[int], weak: bool,
+                  matched: List[Tuple[int, int]]) -> None:
     """Add what a vertex with a nonempty lower link contributes: its edge
-    to the link's chosen critical vertex, then the link's other critical
-    cells and the link's pairs, all given by the ids of their cones."""
-    sub_matched, sub_critical, pool = _partition_core(
-        link, grades, index, admit)
+    to the link's chosen critical vertex, then the link's pairs, all
+    given by the ids of their cones."""
+    sub_matched, pool = _partition_core(link, grades, index, weak)
     if not pool:
         raise MatchingError(
             "matching: nonempty link produced no critical vertex")
@@ -147,8 +129,6 @@ def _match_vertex(v_id: int, link: Dict[int, Simplex],
             minimal.append((u, c))
     w0 = min(minimal, key=lambda p: index[p[0]])[1]
     matched.append((v_id, w0))
-    critical.extend(c for _, c in pool if c != w0)
-    critical.extend(sub_critical)
     matched.extend(sub_matched)
 
 
@@ -176,10 +156,12 @@ def partition(S: SComplex, f: MeasuringFunction,
         seen.add(index[v])
     if vids:
         f.check_vertices(vids[0], vids[-1])
-    pairs, critical, lone = _partition_core(
-        S.verts, f.grades, index, _admission(f.grades, index, variant))
-    critical.extend(c for _, c in lone)
-    return MatchPartition(dict(pairs), set(critical))
+    pairs, _ = _partition_core(S.verts, f.grades, index, variant == "weak")
+    paired = bytearray(len(S.verts))
+    for low, up in pairs:
+        paired[low] = paired[up] = 1
+    return MatchPartition(dict(pairs), {
+        c for c, w in enumerate(S.verts) if w is not None and not paired[c]})
 
 
 def max_index(S: SComplex, index: Sequence[int], c: int) -> int:

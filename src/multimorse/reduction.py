@@ -140,7 +140,7 @@ def reduce_all(S: SComplex, matching: MatchPartition,
     still to come raises ReductionError and leaves S partly reduced. By
     induction, sigma and tau then lie in no projection column but their
     own, as _compose_step needs. partition's order passes when its
-    indexing is valid (admitting u below v implies a smaller index): the
+    indexing is valid (a vertex graded below v has a smaller index): the
     face w0 of (v, v.w0) and the face rb of a pair (v.ra, v.rb) coned
     from v's lower link have apexes below v, so were settled in earlier
     vertex blocks; any other face v.r' of v.rb is v.w0, removed first,

@@ -248,10 +248,10 @@ def test_is_acyclic_detects_v_path_loop():
 
 def test_partition_skips_the_id_of_a_removed_cell():
     # a removed cell leaves an id that holds no cell, None in S.verts:
-    # the partition is the one of the complex built without that cell
+    # the partition is the one of the complex built without that cell.
+    # The weak input rounds the grades so that neighbours tie, and the
+    # tie rule pairs more cells there than strict does.
     mesh = helpers.sphere_mesh(1)
-    f = mm.preset_abs_xy(mesh)
-    index = _index(f)
     S = mm.mesh_complex(mesh)
     gone = S.cells_of_dim(2)[3]
     triangle = S.verts[gone]
@@ -260,12 +260,17 @@ def test_partition_skips_the_id_of_a_removed_cell():
     rebuilt = mm.build_simplicial(
         len(mesh.vertices),
         [w for w in mesh.faces if tuple(sorted(w)) != triangle])
+    tied = helpers.grades_of(
+        [[round(abs(x)), round(abs(y))] for x, y, _ in mesh.vertices])
 
-    def by_verts(T):
-        P = mm.partition(T, f, index)
+    def by_verts(T, f, variant):
+        P = mm.partition(T, f, _index(f), variant)
         return ([(T.verts[a], T.verts[b]) for a, b in P.matched.items()],
                 sorted(T.verts[c] for c in P.critical))
 
-    got = by_verts(S)
-    assert got == by_verts(rebuilt)
-    assert len(got[0]) == 16
+    for f, variant, pairs in ((mm.preset_abs_xy(mesh), "strict", 16),
+                              (tied, "weak", 27)):
+        got = by_verts(S, f, variant)
+        assert got == by_verts(rebuilt, f, variant)
+        assert len(got[0]) == pairs
+    assert len(by_verts(S, tied, "strict")[0]) < 27
