@@ -79,7 +79,6 @@ class SComplex:
         # listed in _cofaces[t] at least once
         self._faces: List[Optional[Dict[int, object]]] = []
         self._cofaces: List[Optional[Sequence[int]]] = []
-        self._count = 0     # ids holding a cell
         self.verts: List[Optional[Tuple[int, ...]]] = []
 
     # -- construction -------------------------------------------------
@@ -107,7 +106,6 @@ class SComplex:
         self._dims[cell_id] = dim
         self._faces[cell_id] = {}
         self._cofaces[cell_id] = []
-        self._count += 1
         return cell_id
 
     def set_incidence(self, s: int, t: int, value) -> None:
@@ -142,7 +140,6 @@ class SComplex:
                 row.pop(c, None)
         self._dims[c] = faces[c] = None
         self._cofaces[c] = _REMOVED
-        self._count -= 1
         self.verts[c] = None
 
     def remove_pair(self, sigma: int, tau: int, pivot
@@ -179,7 +176,7 @@ class SComplex:
             return False
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._dims) - self._dims.count(None)
 
     def dim(self, c: int) -> int:
         # an index past the end raises, and a negative one would
@@ -260,9 +257,9 @@ class SComplex:
         """The smallest cell with no vertex tuple, as a cell given by
         add_cell alone has, or None when every cell has one."""
         verts = self.verts
-        # verts has None at every id that holds no cell, so a tuple for
-        # each cell leaves no other None
-        if len(verts) - verts.count(None) == self._count:
+        # verts has None at every id that holds no cell, as _dims has,
+        # so a tuple for each cell leaves no other None
+        if verts.count(None) == self._dims.count(None):
             return None
         return next(c for c in self.cells() if verts[c] is None)
 
@@ -276,7 +273,6 @@ class SComplex:
         out._cofaces = [row if d is None else list(self.coboundary(c))
                         for c, (d, row) in enumerate(zip(self._dims,
                                                          self._cofaces))]
-        out._count = self._count
         out.verts = list(self.verts)
         return out
 
@@ -379,7 +375,6 @@ def complex_from_closure(closure: Iterable[Tuple[int, ...]],
         # the first listing of a repeat maps to a later id
         w = next(w for c, w in enumerate(cells) if by_verts[w] != c)
         raise ComplexError(f"complex: simplex {w} is listed twice")
-    out._count = len(dims)
     return out
 
 

@@ -295,6 +295,9 @@ def read_reduced(path: str, ring: CoefficientRing = GF2
             S.set_incidence(s, t, v)
         except ComplexError as e:
             raise fail(number, str(e)) from None
+    extra = next(rest, None)
+    if extra is not None:
+        raise fail(extra[0], f"line past the {n_entries} boundary entries")
     try:
         S.validate()
     except ComplexError as e:

@@ -269,12 +269,9 @@ def _thin(grid: List[Grade], max_grades: Optional[int]) -> List[Grade]:
         raise OracleError("oracle: max_grades must be positive")
     if max_grades == 1:
         return [grid[-1]]
-    picked = []
-    for i in range(max_grades):
-        j = round(i * (len(grid) - 1) / (max_grades - 1))
-        if not picked or grid[j] != picked[-1]:
-            picked.append(grid[j])
-    return picked
+    # the steps (n - 1) / (m - 1) exceed 1, so the indices strictly rise
+    n, m = len(grid), max_grades
+    return [grid[round(i * (n - 1) / (m - 1))] for i in range(m)]
 
 
 def rank_table(S: SComplex, grades: Dict[int, Grade],

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import random
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from io import StringIO
 from itertools import combinations
 
 import multimorse as mm
 from multimorse import oracle
+from multimorse.cli import main
 from multimorse.complexes import ComplexError, SComplex, complex_from_closure
 from multimorse.matching import MatchingError
 from multimorse.oracle import OracleError
@@ -196,7 +200,7 @@ def boundary_of_chain(S, chain):
 def chain_sub(ring, a, b):
     out = dict(a)
     for k, v in b.items():
-        nv = ring.sub(out.get(k, ring.zero), v)
+        nv = ring.add(out.get(k, ring.zero), ring.neg(v))
         if nv == ring.zero:
             out.pop(k, None)
         else:
@@ -440,7 +444,7 @@ def _matrix_rank(columns, fld):
         for r in range(len(m)):
             if r != rank and m[r][j] != fld.zero:
                 f = fld.mul(m[r][j], inv)
-                m[r] = [fld.sub(a, fld.mul(f, b))
+                m[r] = [fld.add(a, fld.neg(fld.mul(f, b)))
                         for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
@@ -800,3 +804,87 @@ def traced(call):
         return result, tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+# -- CLI transcripts ------------------------------------------------------
+#
+# Each case runs every command of the CLI in-process on one mesh with
+# one set of flags. The meshes have coordinates that are exact on every
+# platform: the subdivided octahedron uses only midpoints, square roots
+# and division, which IEEE 754 rounds correctly, and the torus sits on
+# an integer grid with an integer values file. Nothing here imports
+# pytest, so an interpreter without it can run the cases too.
+
+TORUS_SIDE = 6
+
+MESHES = {
+    "empty": lambda: mm.Mesh([], []),
+    "sphere1": lambda: sphere_mesh(1),
+    "sphere2": lambda: sphere_mesh(2),
+    "torus6": lambda: mm.Mesh(
+        [(float(i), float(j), 0.0)
+         for i in range(TORUS_SIDE) for j in range(TORUS_SIDE)],
+        grid_torus_faces(TORUS_SIDE)),
+}
+
+FLAGS = {
+    "strict-lex": [],
+    "weak-kahn": ["--variant", "weak", "--indexing", "kahn"],
+    "z": ["--ring", "z"],
+    "weak-z5": ["--variant", "weak", "--ring", "z5"],
+    "q-qmax1": ["--ring", "q", "--qmax", "1"],
+}
+
+COMMANDS = [
+    ["stats"],
+    ["sort"],
+    ["match"],
+    ["reduce", "--out", "{out}"],
+    ["verify"],
+    ["verify", "--max-cells", "60", "--seed", "3"],
+]
+
+
+def _torus_values(path):
+    """Integer grades with ties: vertex (i, j) gets (i % 3, (i + 2j) % 4)."""
+    with open(path, "w", encoding="ascii") as fh:
+        for i in range(TORUS_SIDE):
+            for j in range(TORUS_SIDE):
+                fh.write(f"{i % 3} {(i + 2 * j) % 4}\n")
+
+
+def transcript_digests(mesh_name, flag_name, tmp_path):
+    """sha256 of every command's argv (without paths), stdout, stderr,
+    exit status and written file, in COMMANDS order, and the sha256 of
+    each command's own parts, as (command, digest) pairs. tmp_path is
+    an empty directory, as a pathlib.Path."""
+    mesh_path = str(tmp_path / "mesh.off")
+    write_off(mesh_path, MESHES[mesh_name]())
+    flags = list(FLAGS[flag_name])
+    if mesh_name.startswith("torus"):
+        values_path = str(tmp_path / "values.txt")
+        _torus_values(values_path)
+        flags += ["--values", values_path]
+    out_path = tmp_path / "reduced.txt"
+    h = hashlib.sha256()
+    per_command = []
+    for command in COMMANDS:
+        if out_path.exists():
+            out_path.unlink()
+        args = [a.format(out=out_path) for a in command]
+        # each command gets only the flags it takes
+        takes = COMMAND_FLAGS[command[0]]
+        taken = [x for flag, value in zip(flags[::2], flags[1::2])
+                 if flag in takes for x in (flag, value)]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(args[:1] + [mesh_path] + args[1:] + taken)
+        written = out_path.read_bytes() if out_path.exists() else b""
+        own = hashlib.sha256()
+        for part in (" ".join(command).encode(), out.getvalue().encode(),
+                     err.getvalue().encode(), str(status).encode(), written):
+            for digest in (h, own):
+                digest.update(len(part).to_bytes(8, "big"))
+                digest.update(part)
+        per_command.append((" ".join(command), own.hexdigest()))
+    return h.hexdigest(), per_command

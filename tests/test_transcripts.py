@@ -5,55 +5,23 @@ set of flags, each command given the flags it takes, and hashes what a
 user sees: stdout, stderr and the exit
 status of each command, and the file that `reduce --out` writes. The
 digests pin today's outputs byte for byte, so a change meant to keep
-the outputs fails here, on the (mesh, flags) case that moved.
-
-The meshes have coordinates that are exact on every platform: the
-subdivided octahedron uses only midpoints, square roots and division,
-which IEEE 754 rounds correctly, and the torus sits on an integer grid
-with an integer values file.
+the outputs fails here, on the (mesh, flags) case that moved. The
+cases, and the exact coordinates that make them portable, are in
+helpers; every other Python the host has runs them too.
 
 The Library example of README.md runs here too, so the documented calls
 follow the package's API.
 """
 
-import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-import multimorse as mm
-from multimorse.cli import main
-
 import helpers
-
-TORUS_SIDE = 6
-
-MESHES = {
-    "empty": lambda: mm.Mesh([], []),
-    "sphere1": lambda: helpers.sphere_mesh(1),
-    "sphere2": lambda: helpers.sphere_mesh(2),
-    "torus6": lambda: mm.Mesh(
-        [(float(i), float(j), 0.0)
-         for i in range(TORUS_SIDE) for j in range(TORUS_SIDE)],
-        helpers.grid_torus_faces(TORUS_SIDE)),
-}
-
-FLAGS = {
-    "strict-lex": [],
-    "weak-kahn": ["--variant", "weak", "--indexing", "kahn"],
-    "z": ["--ring", "z"],
-    "weak-z5": ["--variant", "weak", "--ring", "z5"],
-    "q-qmax1": ["--ring", "q", "--qmax", "1"],
-}
-
-COMMANDS = [
-    ["stats"],
-    ["sort"],
-    ["match"],
-    ["reduce", "--out", "{out}"],
-    ["verify"],
-    ["verify", "--max-cells", "60", "--seed", "3"],
-]
 
 DIGESTS = {
     ("empty", "q-qmax1"):
@@ -98,59 +66,71 @@ DIGESTS = {
         "407313526dd1cb8db0b901ce3b9a4c0a224c35f317f4e512bf72476b57b1931b",
 }
 
+# interpreters that run the cases in a child, besides the running one
+OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
 
-def _torus_values(path):
-    """Integer grades with ties: vertex (i, j) gets (i % 3, (i + 2j) % 4)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(TORUS_SIDE):
-            for j in range(TORUS_SIDE):
-                fh.write(f"{i % 3} {(i + 2 * j) % 4}\n")
+# prints the running interpreter's version, as "3.11"
+_VERSION = "import sys; print('%d.%d' % sys.version_info[:2])"
 
-
-def transcript_digests(mesh_name, flag_name, tmp_path, capsys):
-    """sha256 of every command's argv (without paths), stdout, stderr,
-    exit status and written file, in COMMANDS order, and the sha256 of
-    each command's own parts, as (command, digest) pairs."""
-    mesh_path = str(tmp_path / "mesh.off")
-    helpers.write_off(mesh_path, MESHES[mesh_name]())
-    flags = list(FLAGS[flag_name])
-    if mesh_name.startswith("torus"):
-        values_path = str(tmp_path / "values.txt")
-        _torus_values(values_path)
-        flags += ["--values", values_path]
-    out_path = tmp_path / "reduced.txt"
-    h = hashlib.sha256()
-    per_command = []
-    for command in COMMANDS:
-        if out_path.exists():
-            out_path.unlink()
-        args = [a.format(out=out_path) for a in command]
-        # each command gets only the flags it takes
-        takes = helpers.COMMAND_FLAGS[command[0]]
-        taken = [x for flag, value in zip(flags[::2], flags[1::2])
-                 if flag in takes for x in (flag, value)]
-        status = main(args[:1] + [mesh_path] + args[1:] + taken)
-        captured = capsys.readouterr()
-        written = out_path.read_bytes() if out_path.exists() else b""
-        own = hashlib.sha256()
-        for part in (" ".join(command).encode(), captured.out.encode(),
-                     captured.err.encode(), str(status).encode(), written):
-            for digest in (h, own):
-                digest.update(len(part).to_bytes(8, "big"))
-                digest.update(part)
-        per_command.append((" ".join(command), own.hexdigest()))
-    return h.hexdigest(), per_command
+# prints [mesh, flags, digest] for every case, without pytest
+_CHILD = """
+import json, tempfile
+from pathlib import Path
+import helpers
+cases = []
+for mesh_name in sorted(helpers.MESHES):
+    for flag_name in sorted(helpers.FLAGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            digest, _ = helpers.transcript_digests(mesh_name, flag_name,
+                                                   Path(tmp))
+        cases.append([mesh_name, flag_name, digest])
+print(json.dumps(cases))
+"""
 
 
-@pytest.mark.parametrize("mesh_name", sorted(MESHES))
-@pytest.mark.parametrize("flag_name", sorted(FLAGS))
-def test_cli_transcript(mesh_name, flag_name, tmp_path, capsys):
-    digest, per_command = transcript_digests(mesh_name, flag_name,
-                                             tmp_path, capsys)
+def _other_pythons():
+    """The names in OTHER_PYTHONS that start an interpreter of another
+    version than the running one."""
+    running = "%d.%d" % sys.version_info[:2]
+    found = []
+    for name in OTHER_PYTHONS:
+        try:
+            done = subprocess.run([name, "-c", _VERSION],
+                                  capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode == 0 and done.stdout.strip() != running:
+            found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("mesh_name", sorted(helpers.MESHES))
+@pytest.mark.parametrize("flag_name", sorted(helpers.FLAGS))
+def test_cli_transcript(mesh_name, flag_name, tmp_path):
+    digest, per_command = helpers.transcript_digests(mesh_name, flag_name,
+                                                     tmp_path)
     # on a mismatch, the per-command digests, set beside those of the
     # last passing tree, show which command moved
     assert digest == DIGESTS[mesh_name, flag_name], "\n".join(
         f"{command}: {own}" for command, own in per_command)
+
+
+def test_cli_transcripts_under_other_pythons():
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip(f"no interpreter other than this one starts among "
+                    f"{', '.join(OTHER_PYTHONS)}")
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    for name in pythons:
+        done = subprocess.run([name, "-W", "error", "-c", _CHILD], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, (name, done.stderr)
+        digests = {(m, f): d for m, f, d in json.loads(done.stdout)}
+        moved = sorted(case for case in DIGESTS
+                       if digests.get(case) != DIGESTS[case])
+        assert moved == [] and len(digests) == len(DIGESTS), (name, moved)
 
 
 def test_readme_library_example(tmp_path, monkeypatch, capsys):
