@@ -215,13 +215,8 @@ class SComplex:
     def boundary(self, c: int) -> ItemsView[int, object]:
         """Primary faces of c with their incidence coefficients, as a
         read-only view that follows later edits of the complex."""
-        try:
-            row = self._faces[c]
-        except IndexError:
-            row = None
-        if row is None or c < 0:
-            raise ComplexError(f"complex: no cell {c}")
-        return row.items()
+        self.dim(c)
+        return self._faces[c].items()
 
     def coboundary(self, c: int) -> Dict[int, object]:
         """Primary cofaces of c with their incidence coefficients, as a

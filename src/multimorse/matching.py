@@ -33,7 +33,7 @@ from .filtration import MeasuringFunction
 
 
 class MatchingError(ValueError):
-    """Raised for invalid partition inputs or violated invariants."""
+    """Raised for invalid partition inputs."""
 
 
 class MatchPartition:
@@ -118,9 +118,6 @@ def _match_vertex(v_id: int, link: Dict[int, Simplex], grades: Grades,
     to the link's chosen critical vertex, then the link's pairs, all
     given by the ids of their cones."""
     sub_matched, pool = _partition_core(link, grades, index, weak)
-    if not pool:
-        raise MatchingError(
-            "matching: nonempty link produced no critical vertex")
     minimal = []
     for u, c in pool:
         gu = grades[u]
@@ -178,7 +175,7 @@ def modified_hasse(S, matched: Dict[int, int]) -> Dict[int, List[int]]:
     primary face, except a lower cell points up at its match instead."""
     adj: Dict[int, List[int]] = {c: [] for c in S.cells()}
     for s in adj:
-        for t, _ in sorted(S.boundary(s)):
+        for t, _ in S.boundary(s):
             if matched.get(t) == s:
                 adj[t].append(s)
             else:

@@ -283,9 +283,9 @@ def read_reduced(path: str, ring: CoefficientRing = GF2
     for i in range(n_entries):
         number, parts = take(f"boundary line {i + 1} of {n_entries}")
         try:
-            s, t = int(parts[0]), int(parts[1])
-            v = ring.parse(parts[2])
-        except (IndexError, ValueError, ZeroDivisionError):
+            s, t, v = parts     # exactly three fields
+            s, t, v = int(s), int(t), ring.parse(v)
+        except (ValueError, ZeroDivisionError):
             raise fail(number,
                        f"bad boundary line {' '.join(parts)!r}") from None
         if (s, t) in seen:

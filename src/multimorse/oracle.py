@@ -246,10 +246,7 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     if ring not in (S.ring, fld):
         raise OracleError(
             f"oracle: cannot view {S.ring.name} coefficients in {ring.name}")
-    with_torsion = isinstance(ring, Integers)
     top = S.max_dim
-    if top < 0:
-        return HomologyRanks([], [] if with_torsion else None)
     by_dim = [S.cells_of_dim(q) for q in range(top + 2)]
     # ranks[q] is the rank of the boundary map out of the q-chains
     ranks = [0] * (top + 2)
@@ -258,7 +255,7 @@ def homology(S: SComplex, ring: Optional[CoefficientRing] = None
     betti = [len(by_dim[q]) - ranks[q] - ranks[q + 1]
              for q in range(top + 1)]
     torsion = ([_integer_torsion(S, q) for q in range(top + 1)]
-               if with_torsion else None)
+               if isinstance(ring, Integers) else None)
     return HomologyRanks(betti, torsion)
 
 
@@ -324,13 +321,13 @@ class EquivalenceReport:
     torsion of both sublevel complexes at each grid grade, as
     (q, grade, original's, reduction's) where the two differ."""
 
-    def __init__(self, ok: bool, grid: List[Grade],
+    def __init__(self, grid: List[Grade],
                  ranks_original: Dict[Tuple[int, Grade, Grade], int],
                  ranks_reduced: Dict[Tuple[int, Grade, Grade], int],
                  mismatches: List[Tuple[int, Grade, Grade]],
                  torsion_mismatches: Sequence[
                      Tuple[int, Grade, List[int], List[int]]] = ()):
-        self.ok = ok
+        self.ok = not mismatches and not torsion_mismatches
         self.grid = grid
         self.ranks_original = ranks_original
         self.ranks_reduced = ranks_reduced
@@ -403,5 +400,4 @@ def verify_equivalence(S: SComplex, grades_s: Dict[int, Grade],
     if isinstance(S.ring, Integers) and isinstance(reduced.ring, Integers):
         torsion = _torsion_mismatches(S, grades_s, reduced, grades_r, grid,
                                       q_hi)
-    return EquivalenceReport(not mismatches and not torsion, list(grid),
-                             t_orig, t_red, mismatches, torsion)
+    return EquivalenceReport(list(grid), t_orig, t_red, mismatches, torsion)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import ComplexError, SComplex
+from .complexes import SComplex
 from .filtration import Grade
 from .matching import MatchPartition
 from .rings import CoefficientRing
@@ -59,8 +59,7 @@ def reduce_pair(S: SComplex, sigma: int, tau: int,
     coface of sigma and their incidence must be a unit. Grades, when
     given, lose the two removed entries and keep every survivor's grade
     unchanged."""
-    if sigma not in S:
-        raise ComplexError(f"complex: no cell {sigma}")
+    S.dim(sigma)
     ring = S.ring
     pivot = S.incidence(tau, sigma) if tau in S else ring.zero
     if pivot == ring.zero:

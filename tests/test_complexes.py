@@ -202,6 +202,9 @@ def test_add_cell_refuses_ids_out_of_range():
                 query(c)
     S.remove_cell(3)
     assert S.cells() == [0] and len(S) == 1
+    for query in (S.dim, S.boundary, S.coboundary):
+        with pytest.raises(ComplexError, match="no cell 3"):
+            query(3)
     assert S.add_cell(0) == 4   # a removed id is not handed out again
 
 

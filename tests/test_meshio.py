@@ -335,6 +335,10 @@ def test_reduced_boundary_names_missing_cell(tmp_path):
 def test_reduced_bad_boundary_entries(tmp_path):
     head = "k 1\ncells 3\n0 0 0.0\n1 0 0.0\n2 1 0.0\nboundary 1\n"
     _read_bad(tmp_path, head + "2 0 1/0\n", "line 7: bad boundary line")
+    # a line holds exactly three fields: a fourth was once dropped unread
+    _read_bad(tmp_path, head + "2 0 1 5 junk\n",
+              "line 7: bad boundary line '2 0 1 5 junk'")
+    _read_bad(tmp_path, head + "2 0\n", "line 7: bad boundary line '2 0'")
     _read_bad(tmp_path, head + "1 0 1\n", "line 7: .*dim 0 and dim 0")
     _read_bad(tmp_path, "k 1\ncells 3\n0 0 0.0\n1 1 0.0\n2 2 0.0\n"
               "boundary 2\n1 0 1\n2 1 1\n", r"dd != 0")

@@ -35,6 +35,11 @@ def test_homology_of_known_spaces():
     assert mm.homology(sphere, mm.RATIONALS).betti == [1, 0, 1]
     empty = mm.SComplex(mm.GF2)
     assert mm.homology(empty).betti == []
+    empty_z = mm.SComplex(mm.INTEGERS)
+    ranks = mm.homology(empty_z)
+    assert ranks.betti == [] and ranks.torsion == []
+    ranks = mm.homology(empty_z, mm.RATIONALS)
+    assert ranks.betti == [] and ranks.torsion is None
 
 
 def test_projective_plane_across_rings():
@@ -250,7 +255,7 @@ def test_report_flags_exactly_the_mismatched_lines():
     red[0, g0, g1] = 3
     red[1, g1, g1] = 0
     bad = [(0, g0, g1), (1, g1, g1)]
-    report = EquivalenceReport(False, [g0, g1], orig, red, bad)
+    report = EquivalenceReport([g0, g1], orig, red, bad)
     assert report.lines() == [
         "RANK 0 0.0,0.0 0.0,0.0 1",
         "RANK 0 0.0,0.0 1.0,1.0 1 != 3 MISMATCH",
